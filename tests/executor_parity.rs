@@ -130,15 +130,13 @@ fn chunk_size_never_changes_the_output() {
     }
 }
 
-#[test]
-fn batched_path_matches_the_legacy_eval_tape() {
-    // One whole-batch forward through the original &mut Layer path
-    // (train = false) must agree with the executor: the Infer split may
-    // not drift from the tape the rest of the workspace uses.
-    let mut rng = SeededRng::new(6);
-    let spec = cifar_spec(ConvAlgo::Winograd { m: 2 });
-    let mut net = ResNet18::from_spec(&spec, &mut rng).expect("static spec");
-    let batch = rng.uniform_tensor(&[3, 3, 8, 8], -1.0, 1.0);
+/// One whole-batch forward through the `&mut Layer` path (`train =
+/// false`) must equal the executor's read-only path exactly.
+fn assert_eval_tape_matches_executor<M: Layer + Infer + Sync>(
+    name: &str,
+    net: &mut M,
+    batch: &Tensor,
+) {
     let want = {
         let mut tape = Tape::new();
         let x = tape.leaf(batch.clone());
@@ -147,15 +145,42 @@ fn batched_path_matches_the_legacy_eval_tape() {
     };
     let got = net
         .try_forward_batch(
-            &batch,
+            batch,
             ExecutorConfig {
                 threads: 2,
                 chunk: 3,
             },
         )
         .expect("batched inference failed");
-    assert_eq!(got.shape(), want.shape());
-    assert_eq!(got.data(), want.data());
+    assert_eq!(got.shape(), want.shape(), "{name}");
+    assert_eq!(got.data(), want.data(), "{name}");
+}
+
+#[test]
+fn batched_path_matches_the_legacy_eval_tape() {
+    // The train forward and the Infer path are two drivers of one model
+    // definition: for every architecture of the zoo the eval tape may not
+    // drift from the executor.
+    let mut rng = SeededRng::new(6);
+    let spec = cifar_spec(ConvAlgo::Winograd { m: 2 });
+    let mut net = ResNet18::from_spec(&spec, &mut rng).expect("static spec");
+    let batch = rng.uniform_tensor(&[3, 3, 8, 8], -1.0, 1.0);
+    assert_eval_tape_matches_executor("ResNet18", &mut net, &batch);
+
+    let mut net = SqueezeNet::from_spec(&spec, &mut rng).expect("static spec");
+    assert_eval_tape_matches_executor("SqueezeNet", &mut net, &batch);
+    let mut net = ResNeXt20::from_spec(&spec, &mut rng).expect("static spec");
+    assert_eval_tape_matches_executor("ResNeXt20", &mut net, &batch);
+
+    let lenet_spec = ModelSpec::builder()
+        .classes(10)
+        .input_size(12)
+        .algo(ConvAlgo::Winograd { m: 2 })
+        .build()
+        .expect("static spec");
+    let mut net = LeNet::from_spec(&lenet_spec, &mut rng).expect("static spec");
+    let batch = rng.uniform_tensor(&[3, 1, 12, 12], -1.0, 1.0);
+    assert_eval_tape_matches_executor("LeNet", &mut net, &batch);
 }
 
 #[test]
