@@ -638,10 +638,11 @@ impl WinogradAwareConv2d {
     /// Re-quantizing [`WinogradAwareConv2d::cached_filter`] is exact on
     /// calibrated state: the cached values already sit on the `G·g·Gᵀ`
     /// site's grid, so `round(q·s/s) = q` recovers the integers
-    /// bit-for-bit. (A never-calibrated site derives a one-off scale from
-    /// the quantized rows themselves, which may drift sub-quantum — the
-    /// serving path refuses uncalibrated int8 checkpoints before this
-    /// matters.)
+    /// bit-for-bit. A never-calibrated site instead derives a one-off
+    /// scale from the quantized rows themselves, which may drift
+    /// sub-quantum from the fake-quant reference. Nothing rejects such a
+    /// model: loading and serving an uncalibrated int8 checkpoint takes
+    /// this path, so warm the model with one training forward first.
     fn cached_filter_i8(&self) -> Result<Arc<Int8Filter>, WaError> {
         {
             let guard = self

@@ -1,8 +1,11 @@
 //! The model-zoo trait and whole-model surgery helpers.
 
+use std::any::Any;
+
 use wa_core::{ConvAlgo, ConvLayer, ConvSpec};
 use wa_nn::{
-    BatchNorm2d, BatchNormSpec, Conv2d, Conv2dSpec, Layer, Linear, LinearSpec, QuantConfig, WaError,
+    BatchNorm2d, BatchNormSpec, Conv2d, Conv2dSpec, Layer, Linear, LinearSpec, Node, QuantConfig,
+    WaError,
 };
 use wa_tensor::SeededRng;
 
@@ -11,9 +14,16 @@ use wa_tensor::SeededRng;
 /// Figures 4/5/6) and wiNAS operate on.
 pub trait ConvNet: Layer {
     /// Mutable access to the swappable convolution layers, in network
-    /// order. 1×1 convolutions and the input layer are *not* included:
-    /// the paper fixes both to direct convolution (§5.1, A.3).
-    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer>;
+    /// order: every [`ConvLayer`] of the child tree. 1×1 convolutions and
+    /// the input layer are plain [`Conv2d`]s and so *not* included: the
+    /// paper fixes both to direct convolution (§5.1, A.3).
+    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer> {
+        let mut out = Vec::new();
+        for c in self.children_mut() {
+            collect_convs(c, &mut out);
+        }
+        out
+    }
 
     /// Model name for logs.
     fn model_name(&self) -> &str;
@@ -27,6 +37,18 @@ pub trait ConvNet: Layer {
     /// order — the model's searchable state as data.
     fn conv_specs(&mut self) -> Vec<ConvSpec> {
         self.conv_layers_mut().iter().map(|l| l.spec()).collect()
+    }
+}
+
+/// Depth-first walk of the child tree collecting the [`ConvLayer`]s.
+fn collect_convs<'a>(node: &'a mut dyn Node, out: &mut Vec<&'a mut ConvLayer>) {
+    if (&*node as &dyn Any).is::<ConvLayer>() {
+        let any: &mut dyn Any = node;
+        out.extend(any.downcast_mut::<ConvLayer>());
+    } else {
+        for c in node.children_mut() {
+            collect_convs(c, out);
+        }
     }
 }
 

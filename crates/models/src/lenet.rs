@@ -3,7 +3,7 @@
 //! and static transforms fail hard (Figure 5).
 
 use wa_core::{ConvAlgo, ConvLayer};
-use wa_nn::{Infer, Layer, Linear, Param, QuantStateMut, Tape, Var, WaError};
+use wa_nn::{children, Composite, Flow, Linear, Tape, Var, WaError};
 use wa_tensor::SeededRng;
 
 use crate::common::{convert_convs, linear, swappable_conv, ConvNet};
@@ -114,6 +114,26 @@ impl LeNet {
         self.try_set_algo(algo)
             .unwrap_or_else(|e| panic!("set_algo({algo}): {e}"));
     }
+}
+
+impl Composite for LeNet {
+    children!(conv1, conv2, fc1, fc2, fc3);
+
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let mut h = flow.call(tape, 0, x)?;
+        h = tape.relu(h);
+        h = tape.max_pool2d(h);
+        h = flow.call(tape, 1, h)?;
+        h = tape.relu(h);
+        h = tape.max_pool2d(h);
+        let n = tape.value(h).dim(0);
+        let flat = tape.reshape(h, &[n, flow.flat_dim]);
+        let mut f = flow.call(tape, 2, flat)?;
+        f = tape.relu(f);
+        f = flow.call(tape, 3, f)?;
+        f = tape.relu(f);
+        flow.call(tape, 4, f)
+    }
 
     fn check_input(&self, shape: &[usize]) -> Result<(), WaError> {
         // the conv/pool/flatten geometry is fixed at construction, so a
@@ -126,77 +146,7 @@ impl LeNet {
     }
 }
 
-impl Layer for LeNet {
-    fn try_forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        Ok(self.forward(tape, x, train))
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let mut h = self.conv1.forward(tape, x, train);
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        h = self.conv2.forward(tape, h, train);
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        let n = tape.value(h).dim(0);
-        let flat = tape.reshape(h, &[n, self.flat_dim]);
-        let mut f = self.fc1.forward(tape, flat, train);
-        f = tape.relu(f);
-        f = self.fc2.forward(tape, f, train);
-        f = tape.relu(f);
-        self.fc3.forward(tape, f, train)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
-        self.fc3.visit_params(f);
-    }
-
-    fn reset_statistics(&mut self) {
-        self.conv1.reset_statistics();
-        self.conv2.reset_statistics();
-        self.fc1.reset_statistics();
-        self.fc2.reset_statistics();
-        self.fc3.reset_statistics();
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.conv1.visit_quant_state(f);
-        self.conv2.visit_quant_state(f);
-        self.fc1.visit_quant_state(f);
-        self.fc2.visit_quant_state(f);
-        self.fc3.visit_quant_state(f);
-    }
-}
-
-impl Infer for LeNet {
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        let mut h = self.conv1.infer(tape, x)?;
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        h = self.conv2.infer(tape, h)?;
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        let n = tape.value(h).dim(0);
-        let flat = tape.reshape(h, &[n, self.flat_dim]);
-        let mut f = self.fc1.infer(tape, flat)?;
-        f = tape.relu(f);
-        f = self.fc2.infer(tape, f)?;
-        f = tape.relu(f);
-        self.fc3.infer(tape, f)
-    }
-}
-
 impl ConvNet for LeNet {
-    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer> {
-        vec![&mut self.conv1, &mut self.conv2]
-    }
-
     fn model_name(&self) -> &str {
         "LeNet"
     }
@@ -205,6 +155,7 @@ impl ConvNet for LeNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wa_nn::Layer;
 
     fn spec(classes: usize, input_size: usize) -> ModelSpec {
         ModelSpec::builder()

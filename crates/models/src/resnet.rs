@@ -9,8 +9,8 @@
 
 use wa_core::{ConvAlgo, ConvLayer};
 use wa_nn::{
-    BatchNorm2d, Conv2d, Infer, Layer, Linear, Param, QuantConfig, QuantStateMut, Tape, Var,
-    WaError,
+    children, residual_trunk, BasicBody, BatchNorm2d, Composite, Conv2d, Flow, Linear, QuantConfig,
+    Residual, Tape, Var, WaError,
 };
 use wa_tensor::SeededRng;
 
@@ -21,122 +21,36 @@ use crate::spec::ModelSpec;
 
 /// Two 3×3 convolutions with identity (or 1×1-projected) shortcut; the
 /// downsampling variant max-pools its input first.
-struct BasicBlock {
-    conv1: ConvLayer,
-    bn1: BatchNorm2d,
-    conv2: ConvLayer,
-    bn2: BatchNorm2d,
-    /// 1×1 projection when channel counts change (always direct conv).
-    shortcut: Option<(Conv2d, BatchNorm2d)>,
-    downsample: bool,
-}
+type BasicBlock = Residual<BasicBody<ConvLayer>>;
 
-impl BasicBlock {
-    fn new(
-        name: &str,
-        in_ch: usize,
-        out_ch: usize,
-        downsample: bool,
-        quant: QuantConfig,
-        rng: &mut SeededRng,
-    ) -> Result<BasicBlock, WaError> {
-        let conv1 = swappable_conv(&format!("{name}.conv1"), in_ch, out_ch, 3, 1, quant, rng)?;
-        let conv2 = swappable_conv(&format!("{name}.conv2"), out_ch, out_ch, 3, 1, quant, rng)?;
-        let shortcut = if in_ch != out_ch {
-            Some((
-                conv1x1(&format!("{name}.proj"), in_ch, out_ch, false, quant, rng)?,
-                bn(&format!("{name}.proj_bn"), out_ch)?,
-            ))
-        } else {
-            None
-        };
-        Ok(BasicBlock {
+fn basic_block(
+    name: &str,
+    in_ch: usize,
+    out_ch: usize,
+    downsample: bool,
+    quant: QuantConfig,
+    rng: &mut SeededRng,
+) -> Result<BasicBlock, WaError> {
+    let conv1 = swappable_conv(&format!("{name}.conv1"), in_ch, out_ch, 3, 1, quant, rng)?;
+    let conv2 = swappable_conv(&format!("{name}.conv2"), out_ch, out_ch, 3, 1, quant, rng)?;
+    let shortcut = if in_ch != out_ch {
+        Some((
+            conv1x1(&format!("{name}.proj"), in_ch, out_ch, false, quant, rng)?,
+            bn(&format!("{name}.proj_bn"), out_ch)?,
+        ))
+    } else {
+        None
+    };
+    Ok(Residual {
+        body: BasicBody {
             conv1,
             bn1: bn(&format!("{name}.bn1"), out_ch)?,
             conv2,
             bn2: bn(&format!("{name}.bn2"), out_ch)?,
-            shortcut,
-            downsample,
-        })
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let x = if self.downsample {
-            tape.max_pool2d(x)
-        } else {
-            x
-        };
-        let mut h = self.conv1.forward(tape, x, train);
-        h = self.bn1.forward(tape, h, train);
-        h = tape.relu(h);
-        h = self.conv2.forward(tape, h, train);
-        h = self.bn2.forward(tape, h, train);
-        let s = match &mut self.shortcut {
-            Some((proj, bn)) => {
-                let p = proj.forward(tape, x, train);
-                bn.forward(tape, p, train)
-            }
-            None => x,
-        };
-        let sum = tape.add(h, s);
-        tape.relu(sum)
-    }
-
-    /// Read-only (eval-mode) forward for the batched-inference path.
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        let x = if self.downsample {
-            tape.max_pool2d(x)
-        } else {
-            x
-        };
-        let mut h = self.conv1.infer(tape, x)?;
-        h = self.bn1.infer(tape, h)?;
-        h = tape.relu(h);
-        h = self.conv2.infer(tape, h)?;
-        h = self.bn2.infer(tape, h)?;
-        let s = match &self.shortcut {
-            Some((proj, bn)) => {
-                let p = proj.infer(tape, x)?;
-                bn.infer(tape, p)?
-            }
-            None => x,
-        };
-        let sum = tape.add(h, s);
-        Ok(tape.relu(sum))
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv1.visit_params(f);
-        self.bn1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.bn2.visit_params(f);
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.visit_params(f);
-            bn.visit_params(f);
-        }
-    }
-
-    fn reset_statistics(&mut self) {
-        self.conv1.reset_statistics();
-        self.bn1.reset_statistics();
-        self.conv2.reset_statistics();
-        self.bn2.reset_statistics();
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.reset_statistics();
-            bn.reset_statistics();
-        }
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.conv1.visit_quant_state(f);
-        self.bn1.visit_quant_state(f);
-        self.conv2.visit_quant_state(f);
-        self.bn2.visit_quant_state(f);
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.visit_quant_state(f);
-            bn.visit_quant_state(f);
-        }
-    }
+        },
+        shortcut,
+        downsample,
+    })
 }
 
 /// The paper's ResNet-18 variant (see module docs).
@@ -197,7 +111,7 @@ impl ResNet18 {
         for (stage, &out_ch) in chans.iter().enumerate() {
             for b in 0..2 {
                 let downsample = stage > 0 && b == 0;
-                blocks.push(BasicBlock::new(
+                blocks.push(basic_block(
                     &format!("layer{}.{}", stage + 1, b),
                     in_ch,
                     out_ch,
@@ -250,6 +164,15 @@ impl ResNet18 {
     pub fn width(&self) -> f64 {
         self.width
     }
+}
+
+impl Composite for ResNet18 {
+    children!(stem, stem_bn, blocks, head);
+
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let blocks = flow.blocks.len();
+        residual_trunk(flow, tape, x, blocks)
+    }
 
     fn check_input(&self, shape: &[usize]) -> Result<(), WaError> {
         if shape.len() != 4 || shape[1] != 3 {
@@ -269,75 +192,7 @@ impl ResNet18 {
     }
 }
 
-impl Layer for ResNet18 {
-    fn try_forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        Ok(self.forward(tape, x, train))
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let mut h = self.stem.forward(tape, x, train);
-        h = self.stem_bn.forward(tape, h, train);
-        h = tape.relu(h);
-        for b in &mut self.blocks {
-            h = b.forward(tape, h, train);
-        }
-        let pooled = tape.global_avg_pool(h);
-        self.head.forward(tape, pooled, train)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.stem_bn.visit_params(f);
-        for b in &mut self.blocks {
-            b.visit_params(f);
-        }
-        self.head.visit_params(f);
-    }
-
-    fn reset_statistics(&mut self) {
-        self.stem.reset_statistics();
-        self.stem_bn.reset_statistics();
-        for b in &mut self.blocks {
-            b.reset_statistics();
-        }
-        self.head.reset_statistics();
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.stem.visit_quant_state(f);
-        self.stem_bn.visit_quant_state(f);
-        for b in &mut self.blocks {
-            b.visit_quant_state(f);
-        }
-        self.head.visit_quant_state(f);
-    }
-}
-
-impl Infer for ResNet18 {
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        let mut h = self.stem.infer(tape, x)?;
-        h = self.stem_bn.infer(tape, h)?;
-        h = tape.relu(h);
-        for b in &self.blocks {
-            h = b.infer(tape, h)?;
-        }
-        let pooled = tape.global_avg_pool(h);
-        self.head.infer(tape, pooled)
-    }
-}
-
 impl ConvNet for ResNet18 {
-    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer> {
-        let mut out = Vec::with_capacity(16);
-        for b in &mut self.blocks {
-            out.push(&mut b.conv1);
-            out.push(&mut b.conv2);
-        }
-        out
-    }
-
     fn model_name(&self) -> &str {
         "ResNet-18"
     }
@@ -347,6 +202,7 @@ impl ConvNet for ResNet18 {
 mod tests {
     use super::*;
     use crate::common::current_algos;
+    use wa_nn::Layer;
 
     fn basic(classes: usize, width: f64) -> ModelSpec {
         ModelSpec::builder()

@@ -4,7 +4,8 @@
 
 use wa_core::{ConvAlgo, ConvLayer};
 use wa_nn::{
-    BatchNorm2d, Conv2d, Infer, Layer, Param, QuantConfig, QuantStateMut, Tape, Var, WaError,
+    children, residual_trunk, BatchNorm2d, Composite, Conv2d, Flow, QuantConfig, Residual, Tape,
+    Var, WaError,
 };
 use wa_tensor::SeededRng;
 
@@ -22,177 +23,91 @@ struct BlockDims {
     groups: usize,
 }
 
-/// Bottleneck: 1×1 reduce → grouped 3×3 (cardinality `groups`) → 1×1
-/// expand, with projected shortcut. The grouped 3×3 is realized as
-/// `groups` parallel [`ConvLayer`]s over channel slices — each is
-/// independently Winograd-swappable (policies apply uniformly).
-struct ResNeXtBlock {
+/// Bottleneck body: 1×1 reduce → grouped 3×3 (cardinality `groups`) →
+/// 1×1 expand. The grouped 3×3 is realized as `groups` parallel
+/// [`ConvLayer`]s over channel slices — each is independently
+/// Winograd-swappable (policies apply uniformly).
+struct Bottleneck {
     reduce: Conv2d,
     bn1: BatchNorm2d,
     group_convs: Vec<ConvLayer>,
     bn2: BatchNorm2d,
     expand: Conv2d,
     bn3: BatchNorm2d,
-    shortcut: Option<(Conv2d, BatchNorm2d)>,
-    downsample: bool,
     group_width: usize,
 }
 
-impl ResNeXtBlock {
-    fn new(
-        name: &str,
-        dims: BlockDims,
-        downsample: bool,
-        quant: QuantConfig,
-        rng: &mut SeededRng,
-    ) -> Result<ResNeXtBlock, WaError> {
-        let BlockDims {
-            in_ch,
-            inner,
-            out_ch,
-            groups,
-        } = dims;
-        if !inner.is_multiple_of(groups) {
-            return Err(WaError::invalid(
-                "ModelSpec",
-                "width",
-                format!("inner width {inner} not divisible by {groups} groups"),
-            ));
+impl Composite for Bottleneck {
+    children!(reduce, bn1, group_convs, bn2, expand, bn3);
+
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let mut h = flow.call(tape, 0, x)?;
+        h = flow.call(tape, 1, h)?;
+        h = tape.relu(h);
+        // grouped 3×3: slice, convolve per group, concat
+        let (groups, gw) = (flow.group_convs.len(), flow.group_width);
+        let mut parts = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let slice = tape.slice_chan(h, g * gw, (g + 1) * gw);
+            parts.push(flow.call(tape, 2 + g, slice)?);
         }
-        let gw = inner / groups;
-        let group_convs = (0..groups)
-            .map(|g| swappable_conv(&format!("{name}.group{}", g), gw, gw, 3, 1, quant, rng))
-            .collect::<Result<Vec<_>, WaError>>()?;
-        let shortcut = if in_ch != out_ch {
-            Some((
-                conv1x1(&format!("{name}.proj"), in_ch, out_ch, false, quant, rng)?,
-                bn(&format!("{name}.proj_bn"), out_ch)?,
-            ))
-        } else {
-            None
-        };
-        Ok(ResNeXtBlock {
+        let mut cat = tape.concat_chan(&parts);
+        cat = flow.call(tape, 2 + groups, cat)?;
+        cat = tape.relu(cat);
+        let e = flow.call(tape, 3 + groups, cat)?;
+        flow.call(tape, 4 + groups, e)
+    }
+}
+
+/// A bottleneck with projected shortcut; the downsampling variant
+/// max-pools its input first.
+type ResNeXtBlock = Residual<Bottleneck>;
+
+fn resnext_block(
+    name: &str,
+    dims: BlockDims,
+    downsample: bool,
+    quant: QuantConfig,
+    rng: &mut SeededRng,
+) -> Result<ResNeXtBlock, WaError> {
+    let BlockDims {
+        in_ch,
+        inner,
+        out_ch,
+        groups,
+    } = dims;
+    if !inner.is_multiple_of(groups) {
+        return Err(WaError::invalid(
+            "ModelSpec",
+            "width",
+            format!("inner width {inner} not divisible by {groups} groups"),
+        ));
+    }
+    let gw = inner / groups;
+    let group_convs = (0..groups)
+        .map(|g| swappable_conv(&format!("{name}.group{}", g), gw, gw, 3, 1, quant, rng))
+        .collect::<Result<Vec<_>, WaError>>()?;
+    let shortcut = if in_ch != out_ch {
+        Some((
+            conv1x1(&format!("{name}.proj"), in_ch, out_ch, false, quant, rng)?,
+            bn(&format!("{name}.proj_bn"), out_ch)?,
+        ))
+    } else {
+        None
+    };
+    Ok(Residual {
+        body: Bottleneck {
             reduce: conv1x1(&format!("{name}.reduce"), in_ch, inner, false, quant, rng)?,
             bn1: bn(&format!("{name}.bn1"), inner)?,
             group_convs,
             bn2: bn(&format!("{name}.bn2"), inner)?,
             expand: conv1x1(&format!("{name}.expand"), inner, out_ch, false, quant, rng)?,
             bn3: bn(&format!("{name}.bn3"), out_ch)?,
-            shortcut,
-            downsample,
             group_width: gw,
-        })
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let x = if self.downsample {
-            tape.max_pool2d(x)
-        } else {
-            x
-        };
-        let mut h = self.reduce.forward(tape, x, train);
-        h = self.bn1.forward(tape, h, train);
-        h = tape.relu(h);
-        // grouped 3×3: slice, convolve per group, concat
-        let gw = self.group_width;
-        let mut parts = Vec::with_capacity(self.group_convs.len());
-        for (g, conv) in self.group_convs.iter_mut().enumerate() {
-            let slice = tape.slice_chan(h, g * gw, (g + 1) * gw);
-            parts.push(conv.forward(tape, slice, train));
-        }
-        let mut cat = tape.concat_chan(&parts);
-        cat = self.bn2.forward(tape, cat, train);
-        cat = tape.relu(cat);
-        let mut e = self.expand.forward(tape, cat, train);
-        e = self.bn3.forward(tape, e, train);
-        let s = match &mut self.shortcut {
-            Some((proj, bn)) => {
-                let p = proj.forward(tape, x, train);
-                bn.forward(tape, p, train)
-            }
-            None => x,
-        };
-        let sum = tape.add(e, s);
-        tape.relu(sum)
-    }
-
-    /// Read-only (eval-mode) forward for the batched-inference path.
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        let x = if self.downsample {
-            tape.max_pool2d(x)
-        } else {
-            x
-        };
-        let mut h = self.reduce.infer(tape, x)?;
-        h = self.bn1.infer(tape, h)?;
-        h = tape.relu(h);
-        // grouped 3×3: slice, convolve per group, concat
-        let gw = self.group_width;
-        let mut parts = Vec::with_capacity(self.group_convs.len());
-        for (g, conv) in self.group_convs.iter().enumerate() {
-            let slice = tape.slice_chan(h, g * gw, (g + 1) * gw);
-            parts.push(conv.infer(tape, slice)?);
-        }
-        let mut cat = tape.concat_chan(&parts);
-        cat = self.bn2.infer(tape, cat)?;
-        cat = tape.relu(cat);
-        let mut e = self.expand.infer(tape, cat)?;
-        e = self.bn3.infer(tape, e)?;
-        let s = match &self.shortcut {
-            Some((proj, bn)) => {
-                let p = proj.infer(tape, x)?;
-                bn.infer(tape, p)?
-            }
-            None => x,
-        };
-        let sum = tape.add(e, s);
-        Ok(tape.relu(sum))
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.reduce.visit_params(f);
-        self.bn1.visit_params(f);
-        for c in &mut self.group_convs {
-            c.visit_params(f);
-        }
-        self.bn2.visit_params(f);
-        self.expand.visit_params(f);
-        self.bn3.visit_params(f);
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.visit_params(f);
-            bn.visit_params(f);
-        }
-    }
-
-    fn reset_statistics(&mut self) {
-        self.reduce.reset_statistics();
-        self.bn1.reset_statistics();
-        for c in &mut self.group_convs {
-            c.reset_statistics();
-        }
-        self.bn2.reset_statistics();
-        self.expand.reset_statistics();
-        self.bn3.reset_statistics();
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.reset_statistics();
-            bn.reset_statistics();
-        }
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.reduce.visit_quant_state(f);
-        self.bn1.visit_quant_state(f);
-        for c in &mut self.group_convs {
-            c.visit_quant_state(f);
-        }
-        self.bn2.visit_quant_state(f);
-        self.expand.visit_quant_state(f);
-        self.bn3.visit_quant_state(f);
-        if let Some((proj, bn)) = &mut self.shortcut {
-            proj.visit_quant_state(f);
-            bn.visit_quant_state(f);
-        }
-    }
+        },
+        shortcut,
+        downsample,
+    })
 }
 
 /// ResNeXt-20 with cardinality 8 and base group width 16 ("8×16"),
@@ -250,7 +165,7 @@ impl ResNeXt20 {
         for stage in 0..3 {
             for b in 0..2 {
                 let downsample = stage > 0 && b == 0;
-                blocks.push(ResNeXtBlock::new(
+                blocks.push(resnext_block(
                     &format!("stage{}.{}", stage + 1, b),
                     BlockDims {
                         in_ch,
@@ -309,6 +224,15 @@ impl ResNeXt20 {
         self.try_set_algo(algo)
             .unwrap_or_else(|e| panic!("set_algo({algo}): {e}"));
     }
+}
+
+impl Composite for ResNeXt20 {
+    children!(stem, stem_bn, blocks, head);
+
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let blocks = flow.blocks.len();
+        residual_trunk(flow, tape, x, blocks)
+    }
 
     fn check_input(&self, shape: &[usize]) -> Result<(), WaError> {
         if shape.len() != 4 || shape[1] != 3 {
@@ -327,73 +251,7 @@ impl ResNeXt20 {
     }
 }
 
-impl Layer for ResNeXt20 {
-    fn try_forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        Ok(self.forward(tape, x, train))
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let mut h = self.stem.forward(tape, x, train);
-        h = self.stem_bn.forward(tape, h, train);
-        h = tape.relu(h);
-        for b in &mut self.blocks {
-            h = b.forward(tape, h, train);
-        }
-        let pooled = tape.global_avg_pool(h);
-        self.head.forward(tape, pooled, train)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.stem_bn.visit_params(f);
-        for b in &mut self.blocks {
-            b.visit_params(f);
-        }
-        self.head.visit_params(f);
-    }
-
-    fn reset_statistics(&mut self) {
-        self.stem.reset_statistics();
-        self.stem_bn.reset_statistics();
-        for b in &mut self.blocks {
-            b.reset_statistics();
-        }
-        self.head.reset_statistics();
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.stem.visit_quant_state(f);
-        self.stem_bn.visit_quant_state(f);
-        for b in &mut self.blocks {
-            b.visit_quant_state(f);
-        }
-        self.head.visit_quant_state(f);
-    }
-}
-
-impl Infer for ResNeXt20 {
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        let mut h = self.stem.infer(tape, x)?;
-        h = self.stem_bn.infer(tape, h)?;
-        h = tape.relu(h);
-        for b in &self.blocks {
-            h = b.infer(tape, h)?;
-        }
-        let pooled = tape.global_avg_pool(h);
-        self.head.infer(tape, pooled)
-    }
-}
-
 impl ConvNet for ResNeXt20 {
-    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer> {
-        self.blocks
-            .iter_mut()
-            .flat_map(|b| b.group_convs.iter_mut())
-            .collect()
-    }
-
     fn model_name(&self) -> &str {
         "ResNeXt-20 (8x16)"
     }
@@ -402,6 +260,7 @@ impl ConvNet for ResNeXt20 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wa_nn::Layer;
 
     fn spec(classes: usize, width: f64) -> ModelSpec {
         ModelSpec::builder()

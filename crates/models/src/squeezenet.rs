@@ -4,9 +4,7 @@
 //! milder INT8/F4 degradation versus ResNet-18's 16.
 
 use wa_core::{ConvAlgo, ConvLayer};
-use wa_nn::{
-    BatchNorm2d, Conv2d, Infer, Layer, Param, QuantConfig, QuantStateMut, Tape, Var, WaError,
-};
+use wa_nn::{children, BatchNorm2d, Composite, Conv2d, Flow, QuantConfig, Tape, Var, WaError};
 use wa_tensor::SeededRng;
 
 use crate::common::{
@@ -63,42 +61,18 @@ impl Fire {
     fn out_channels(&self) -> usize {
         self.expand1.out_channels() * 2
     }
+}
 
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let s = self.squeeze.forward(tape, x, train);
-        let s = tape.relu(s);
-        let e1 = self.expand1.forward(tape, s, train);
-        let e3 = self.expand3.forward(tape, s, train);
-        let cat = tape.concat_chan(&[e1, e3]);
-        tape.relu(cat)
-    }
+impl Composite for Fire {
+    children!(squeeze, expand1, expand3);
 
-    /// Read-only (eval-mode) forward for the batched-inference path.
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        let s = self.squeeze.infer(tape, x)?;
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let s = flow.call(tape, 0, x)?;
         let s = tape.relu(s);
-        let e1 = self.expand1.infer(tape, s)?;
-        let e3 = self.expand3.infer(tape, s)?;
+        let e1 = flow.call(tape, 1, s)?;
+        let e3 = flow.call(tape, 2, s)?;
         let cat = tape.concat_chan(&[e1, e3]);
         Ok(tape.relu(cat))
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.squeeze.visit_params(f);
-        self.expand1.visit_params(f);
-        self.expand3.visit_params(f);
-    }
-
-    fn reset_statistics(&mut self) {
-        self.squeeze.reset_statistics();
-        self.expand1.reset_statistics();
-        self.expand3.reset_statistics();
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.squeeze.visit_quant_state(f);
-        self.expand1.visit_quant_state(f);
-        self.expand3.visit_quant_state(f);
     }
 }
 
@@ -193,12 +167,32 @@ impl SqueezeNet {
         self.try_set_algo(algo)
             .unwrap_or_else(|e| panic!("set_algo({algo}): {e}"));
     }
+}
+
+impl Composite for SqueezeNet {
+    children!(stem, stem_bn, fires, classifier);
+
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let mut h = flow.call(tape, 0, x)?;
+        h = flow.call(tape, 1, h)?;
+        h = tape.relu(h);
+        h = tape.max_pool2d(h);
+        let fires = flow.fires.len();
+        for i in 0..fires {
+            h = flow.call(tape, 2 + i, h)?;
+            if flow.pools_after.contains(&i) && tape.value(h).dim(2) >= 4 {
+                h = tape.max_pool2d(h);
+            }
+        }
+        let logits_map = flow.call(tape, 2 + fires, h)?;
+        Ok(tape.global_avg_pool(logits_map))
+    }
 
     fn check_input(&self, shape: &[usize]) -> Result<(), WaError> {
         if shape.len() != 4 || shape[1] != 3 {
             return Err(WaError::shape("SqueezeNet input", &[0, 3, 0, 0], shape));
         }
-        // replay the pooling plan of `forward`: the stem pool always
+        // replay the pooling plan of the dataflow: the stem pool always
         // applies, the fire-stage pools only while the height is >= 4 —
         // every applied pool needs even dims
         let (mut h, mut w) = (shape[2], shape[3]);
@@ -229,85 +223,7 @@ impl SqueezeNet {
     }
 }
 
-impl Layer for SqueezeNet {
-    fn try_forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        Ok(self.forward(tape, x, train))
-    }
-
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let h = self.stem.forward(tape, x, train);
-        self.rest(tape, h, train)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.stem_bn.visit_params(f);
-        for fire in &mut self.fires {
-            fire.visit_params(f);
-        }
-        self.classifier.visit_params(f);
-    }
-
-    fn reset_statistics(&mut self) {
-        self.stem.reset_statistics();
-        self.stem_bn.reset_statistics();
-        for fire in &mut self.fires {
-            fire.reset_statistics();
-        }
-        self.classifier.reset_statistics();
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.stem.visit_quant_state(f);
-        self.stem_bn.visit_quant_state(f);
-        for fire in &mut self.fires {
-            fire.visit_quant_state(f);
-        }
-        self.classifier.visit_quant_state(f);
-    }
-}
-
-impl SqueezeNet {
-    /// Shared tail of `forward`/`try_forward` after the stem.
-    fn rest(&mut self, tape: &mut Tape, stem_out: Var, train: bool) -> Var {
-        let mut h = self.stem_bn.forward(tape, stem_out, train);
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        for (i, fire) in self.fires.iter_mut().enumerate() {
-            h = fire.forward(tape, h, train);
-            if self.pools_after.contains(&i) && tape.value(h).dim(2) >= 4 {
-                h = tape.max_pool2d(h);
-            }
-        }
-        let logits_map = self.classifier.forward(tape, h, train);
-        tape.global_avg_pool(logits_map)
-    }
-}
-
-impl Infer for SqueezeNet {
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        self.check_input(tape.value(x).shape())?;
-        let mut h = self.stem.infer(tape, x)?;
-        h = self.stem_bn.infer(tape, h)?;
-        h = tape.relu(h);
-        h = tape.max_pool2d(h);
-        for (i, fire) in self.fires.iter().enumerate() {
-            h = fire.infer(tape, h)?;
-            if self.pools_after.contains(&i) && tape.value(h).dim(2) >= 4 {
-                h = tape.max_pool2d(h);
-            }
-        }
-        let logits_map = self.classifier.infer(tape, h)?;
-        Ok(tape.global_avg_pool(logits_map))
-    }
-}
-
 impl ConvNet for SqueezeNet {
-    fn conv_layers_mut(&mut self) -> Vec<&mut ConvLayer> {
-        self.fires.iter_mut().map(|f| &mut f.expand3).collect()
-    }
-
     fn model_name(&self) -> &str {
         "SqueezeNet"
     }
@@ -317,6 +233,7 @@ impl ConvNet for SqueezeNet {
 mod tests {
     use super::*;
     use crate::common::current_algos;
+    use wa_nn::Layer;
 
     fn spec(classes: usize, width: f64) -> ModelSpec {
         ModelSpec::builder()

@@ -4,9 +4,10 @@
 //! [`ModelSpec`] document + parameters in one JSON file — and must turn
 //! it into *something it can run* without knowing the concrete model type
 //! at compile time. [`ZooModel`] is that something: any of the four paper
-//! architectures behind a uniform [`Layer`] + [`Infer`] surface, tagged
-//! with the spec it was built from (so per-sample input shapes can be
-//! validated before a request is admitted into a shared batch).
+//! architectures behind a uniform [`Layer`](wa_nn::Layer) +
+//! [`Infer`](wa_nn::Infer) surface, tagged with the spec it was built
+//! from (so per-sample input shapes can be validated before a request is
+//! admitted into a shared batch).
 //!
 //! ```
 //! use wa_models::{ModelKind, ModelSpec, ZooModel};
@@ -25,8 +26,8 @@
 //! ```
 
 use wa_nn::{
-    export_params, export_quant_state, import_params, import_quant_state, CheckpointError,
-    FullCheckpoint, Infer, Layer, Param, QuantStateMut, Tape, Var, WaError,
+    children, export_params, export_quant_state, import_params, import_quant_state,
+    CheckpointError, Composite, Flow, FullCheckpoint, Node, Tape, Var, WaError,
 };
 use wa_tensor::SeededRng;
 
@@ -140,23 +141,16 @@ fn spec_error(e: WaError) -> WaError {
     }
 }
 
-/// The concrete network, dispatched at runtime (boxed: the variants are
-/// whole models of very different sizes).
-#[allow(clippy::enum_variant_names)] // the variants are architecture names
-enum Net {
-    LeNet(Box<LeNet>),
-    ResNet18(Box<ResNet18>),
-    SqueezeNet(Box<SqueezeNet>),
-    ResNeXt20(Box<ResNeXt20>),
-}
-
-/// One model of the zoo behind a uniform [`Layer`] + [`Infer`] surface,
-/// tagged with the [`ModelSpec`] it was built from. See the
-/// module-level docs above for the serving round trip.
+/// One model of the zoo behind a uniform [`Layer`](wa_nn::Layer) +
+/// [`Infer`](wa_nn::Infer) surface, tagged with the [`ModelSpec`] it was
+/// built from. See the module-level docs above for the serving round
+/// trip.
 pub struct ZooModel {
     kind: ModelKind,
     spec: ModelSpec,
-    net: Net,
+    /// The concrete network (boxed: the architectures are whole models of
+    /// very different sizes).
+    net: Box<dyn Node>,
 }
 
 impl std::fmt::Debug for ZooModel {
@@ -179,11 +173,11 @@ impl ZooModel {
         spec: &ModelSpec,
         rng: &mut SeededRng,
     ) -> Result<ZooModel, WaError> {
-        let net = match kind {
-            ModelKind::LeNet => Net::LeNet(Box::new(LeNet::from_spec(spec, rng)?)),
-            ModelKind::ResNet18 => Net::ResNet18(Box::new(ResNet18::from_spec(spec, rng)?)),
-            ModelKind::SqueezeNet => Net::SqueezeNet(Box::new(SqueezeNet::from_spec(spec, rng)?)),
-            ModelKind::ResNeXt20 => Net::ResNeXt20(Box::new(ResNeXt20::from_spec(spec, rng)?)),
+        let net: Box<dyn Node> = match kind {
+            ModelKind::LeNet => Box::new(LeNet::from_spec(spec, rng)?),
+            ModelKind::ResNet18 => Box::new(ResNet18::from_spec(spec, rng)?),
+            ModelKind::SqueezeNet => Box::new(SqueezeNet::from_spec(spec, rng)?),
+            ModelKind::ResNeXt20 => Box::new(ResNeXt20::from_spec(spec, rng)?),
         };
         Ok(ZooModel {
             kind,
@@ -212,10 +206,10 @@ impl ZooModel {
 
     /// Exports architecture + spec + calibration state + parameters as
     /// one document. The `quant` section carries every calibration site
-    /// ([`Layer::visit_quant_state`]): quantizer ranges — including the
-    /// per-tap scales of tap-wise Winograd layers — and batch-norm
-    /// running moments, so a serving node reproduces this process's
-    /// logits bit-for-bit.
+    /// ([`Layer::visit_quant_state`](wa_nn::Layer::visit_quant_state)):
+    /// quantizer ranges — including the per-tap scales of tap-wise
+    /// Winograd layers — and batch-norm running moments, so a serving
+    /// node reproduces this process's logits bit-for-bit.
     ///
     /// # Errors
     ///
@@ -224,9 +218,9 @@ impl ZooModel {
     pub fn to_full_checkpoint(&mut self) -> Result<FullCheckpoint, WaError> {
         let arch = self.kind.name().to_string();
         let spec = self.spec.to_json();
-        let quant = export_quant_state(self.as_layer())
+        let quant = export_quant_state(self)
             .map_err(|e| WaError::invalid("FullCheckpoint", "quant", e.to_string()))?;
-        let params = export_params(self.as_layer())
+        let params = export_params(self)
             .map_err(|e| WaError::invalid("FullCheckpoint", "params", e.to_string()))?;
         Ok(FullCheckpoint {
             arch,
@@ -255,55 +249,19 @@ impl ZooModel {
         // the init is overwritten wholesale by the import, so any seed works
         let mut rng = SeededRng::new(0);
         let mut out = ZooModel::from_spec(kind, &spec, &mut rng)?;
-        import_params(out.as_layer(), &doc.params).map_err(import_error)?;
-        import_quant_state(out.as_layer(), &doc.quant).map_err(import_error)?;
+        import_params(&mut out, &doc.params).map_err(import_error)?;
+        import_quant_state(&mut out, &doc.quant).map_err(import_error)?;
         Ok(out)
     }
-
-    fn as_layer(&mut self) -> &mut dyn Layer {
-        match &mut self.net {
-            Net::LeNet(m) => m.as_mut(),
-            Net::ResNet18(m) => m.as_mut(),
-            Net::SqueezeNet(m) => m.as_mut(),
-            Net::ResNeXt20(m) => m.as_mut(),
-        }
-    }
-
-    fn as_infer(&self) -> &(dyn Infer + Sync) {
-        match &self.net {
-            Net::LeNet(m) => m.as_ref(),
-            Net::ResNet18(m) => m.as_ref(),
-            Net::SqueezeNet(m) => m.as_ref(),
-            Net::ResNeXt20(m) => m.as_ref(),
-        }
-    }
 }
 
-impl Layer for ZooModel {
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        self.as_layer().forward(tape, x, train)
-    }
+/// The wrapper adds no dataflow of its own: every path runs the boxed
+/// network, whose `try_forward`/`infer` validate the input.
+impl Composite for ZooModel {
+    children!(net);
 
-    fn try_forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Result<Var, WaError> {
-        self.as_layer().try_forward(tape, x, train)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.as_layer().visit_params(f)
-    }
-
-    fn reset_statistics(&mut self) {
-        self.as_layer().reset_statistics()
-    }
-
-    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        self.as_layer().visit_quant_state(f)
-    }
-}
-
-impl Infer for ZooModel {
-    fn infer(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        self.as_infer().infer(tape, x)
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        flow.call(tape, 0, x)
     }
 }
 
@@ -312,6 +270,7 @@ mod tests {
     use super::*;
     use wa_core::ConvAlgo;
     use wa_nn::ExecutorConfig;
+    use wa_nn::Infer;
     use wa_tensor::Tensor;
 
     fn lenet_spec() -> ModelSpec {

@@ -9,8 +9,8 @@
 use wa_core::{ConvAlgo, ConvLayer};
 use wa_latency::LayerShape;
 use wa_nn::{
-    BatchNorm2d, BatchNormSpec, Conv2d, Conv2dSpec, Layer, Linear, LinearSpec, Param, QuantConfig,
-    Tape, Var, WaError,
+    children, residual_trunk, BasicBody, BatchNorm2d, BatchNormSpec, Composite, Conv2d, Conv2dSpec,
+    Flow, Linear, LinearSpec, QuantConfig, Residual, Tape, Var, WaError,
 };
 use wa_tensor::SeededRng;
 
@@ -172,26 +172,19 @@ impl Bank {
     pub fn active_algo(&self) -> ConvAlgo {
         self.candidates[self.active].algo()
     }
+}
 
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        self.candidates[self.active].forward(tape, x, train)
-    }
+impl Composite for Bank {
+    children!(candidates);
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for c in &mut self.candidates {
-            c.visit_params(f);
-        }
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let active = flow.active;
+        flow.call(tape, active, x)
     }
 }
 
-struct SuperBlock {
-    bank1: Bank,
-    bn1: BatchNorm2d,
-    bank2: Bank,
-    bn2: BatchNorm2d,
-    shortcut: Option<(Conv2d, BatchNorm2d)>,
-    downsample: bool,
-}
+/// A ResNet basic block whose two 3×3 slots are candidate banks.
+type SuperBlock = Residual<BasicBody<Bank>>;
 
 /// The searchable network: fixed stem/shortcuts/head, candidate banks in
 /// every 3×3 slot.
@@ -248,11 +241,13 @@ impl SuperNet {
                 } else {
                     None
                 };
-                blocks.push(SuperBlock {
-                    bank1: Bank::new(&format!("{name}.c1"), in_ch, out_ch, space, rng)?,
-                    bn1: bn(&format!("{name}.bn1"), out_ch)?,
-                    bank2: Bank::new(&format!("{name}.c2"), out_ch, out_ch, space, rng)?,
-                    bn2: bn(&format!("{name}.bn2"), out_ch)?,
+                blocks.push(Residual {
+                    body: BasicBody {
+                        conv1: Bank::new(&format!("{name}.c1"), in_ch, out_ch, space, rng)?,
+                        bn1: bn(&format!("{name}.bn1"), out_ch)?,
+                        conv2: Bank::new(&format!("{name}.c2"), out_ch, out_ch, space, rng)?,
+                        bn2: bn(&format!("{name}.bn2"), out_ch)?,
+                    },
                     shortcut,
                     downsample: downsample && b == 0,
                 });
@@ -298,8 +293,8 @@ impl SuperNet {
     pub fn banks_mut(&mut self) -> Vec<&mut Bank> {
         let mut out = Vec::with_capacity(2 * self.blocks.len());
         for b in &mut self.blocks {
-            out.push(&mut b.bank1);
-            out.push(&mut b.bank2);
+            out.push(&mut b.body.conv1);
+            out.push(&mut b.body.conv2);
         }
         out
     }
@@ -308,59 +303,26 @@ impl SuperNet {
     pub fn active_algos(&self) -> Vec<ConvAlgo> {
         let mut out = Vec::with_capacity(2 * self.blocks.len());
         for b in &self.blocks {
-            out.push(b.bank1.active_algo());
-            out.push(b.bank2.active_algo());
+            out.push(b.body.conv1.active_algo());
+            out.push(b.body.conv2.active_algo());
         }
         out
     }
 }
 
-impl Layer for SuperNet {
-    fn forward(&mut self, tape: &mut Tape, x: Var, train: bool) -> Var {
-        let mut h = self.stem.forward(tape, x, train);
-        h = self.stem_bn.forward(tape, h, train);
-        h = tape.relu(h);
-        for b in &mut self.blocks {
-            let x_in = if b.downsample { tape.max_pool2d(h) } else { h };
-            let mut m = b.bank1.forward(tape, x_in, train);
-            m = b.bn1.forward(tape, m, train);
-            m = tape.relu(m);
-            m = b.bank2.forward(tape, m, train);
-            m = b.bn2.forward(tape, m, train);
-            let s = match &mut b.shortcut {
-                Some((proj, bn)) => {
-                    let p = proj.forward(tape, x_in, train);
-                    bn.forward(tape, p, train)
-                }
-                None => x_in,
-            };
-            let sum = tape.add(m, s);
-            h = tape.relu(sum);
-        }
-        let pooled = tape.global_avg_pool(h);
-        self.head.forward(tape, pooled, train)
-    }
+impl Composite for SuperNet {
+    children!(stem, stem_bn, blocks, head);
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.stem_bn.visit_params(f);
-        for b in &mut self.blocks {
-            b.bank1.visit_params(f);
-            b.bn1.visit_params(f);
-            b.bank2.visit_params(f);
-            b.bn2.visit_params(f);
-            if let Some((proj, bn)) = &mut b.shortcut {
-                proj.visit_params(f);
-                bn.visit_params(f);
-            }
-        }
-        self.head.visit_params(f);
+    fn dataflow(flow: &mut Flow<'_, Self>, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
+        let blocks = flow.blocks.len();
+        residual_trunk(flow, tape, x, blocks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wa_nn::{export_quant_state, Layer, QuantStateMut};
     use wa_quant::BitWidth;
 
     #[test]
@@ -407,6 +369,61 @@ mod tests {
         let a = run(&mut net, &[0, 0], &x);
         let b = run(&mut net, &[1, 1], &x);
         assert_ne!(a.data(), b.data(), "candidates have independent weights");
+    }
+
+    /// Observations (or, for batch norm, "moments moved off their reset
+    /// values") per calibration site.
+    fn site_activity(net: &mut SuperNet) -> Vec<(String, bool)> {
+        let mut out = Vec::new();
+        net.visit_quant_state(&mut |name, site| {
+            let active = match site {
+                QuantStateMut::Observer(o) => o.observations() > 0,
+                QuantStateMut::Taps(t) => t.observations() > 0,
+                QuantStateMut::BatchNorm { mean, var } => {
+                    mean.iter().any(|&m| m != 0.0) || var.iter().any(|&v| v != 1.0)
+                }
+            };
+            out.push((name.to_string(), active));
+        });
+        out
+    }
+
+    #[test]
+    fn reset_and_quant_state_reach_every_candidate() {
+        let mut rng = SeededRng::new(3);
+        let arch = MacroArch::tiny(4, 8, 8);
+        let space = SearchSpace::small(BitWidth::INT8);
+        let mut net = SuperNet::new(&arch, &space, &mut rng).unwrap();
+        let x = rng.uniform_tensor(&[2, 3, 8, 8], -1.0, 1.0);
+        // one quantized train forward through every candidate
+        for i in 0..space.len() {
+            net.set_selection(&[i, i]);
+            let mut tape = Tape::new();
+            let xv = tape.leaf(x.clone());
+            net.forward(&mut tape, xv, true);
+        }
+
+        let sites = export_quant_state(&mut net).unwrap();
+        for slot in ["s0b0.c1", "s0b0.c2"] {
+            for i in 0..space.len() {
+                let prefix = format!("{slot}.cand{i}.");
+                assert!(
+                    sites.keys().any(|k| k.starts_with(&prefix)),
+                    "no `{prefix}*` site in {:?}",
+                    sites.keys()
+                );
+            }
+        }
+        let before = site_activity(&mut net);
+        assert!(before.iter().any(|(n, _)| n.ends_with(".bn")));
+        for (name, active) in &before {
+            assert!(active, "site `{name}` saw no calibration data");
+        }
+
+        net.reset_statistics();
+        for (name, active) in site_activity(&mut net) {
+            assert!(!active, "site `{name}` survived reset_statistics");
+        }
     }
 
     #[test]

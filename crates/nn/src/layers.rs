@@ -3,6 +3,7 @@
 use wa_quant::{BitWidth, Execution, Observer, TapPolicy, TapQuant};
 use wa_tensor::{SeededRng, Tensor};
 
+use crate::composite::Node;
 use crate::error::WaError;
 use crate::executor::Infer;
 use crate::param::Param;
@@ -233,6 +234,11 @@ pub enum QuantStateMut<'a> {
 }
 
 /// Anything with trainable parameters and a tape-level forward.
+///
+/// Leaf layers implement the methods below directly. Composite layers
+/// implement [`Composite`](crate::Composite) instead and get this trait
+/// from it: their visitors are the defaults here, which walk
+/// [`Layer::children_mut`].
 pub trait Layer {
     /// Runs the layer, appending ops to `tape`. `train` selects batch-stat
     /// behaviour (batch norm) and observer updates (quantizers).
@@ -242,9 +248,10 @@ pub trait Layer {
     /// expectations and returns [`WaError::ShapeMismatch`] instead of
     /// panicking — the path a serving system uses on untrusted requests.
     ///
-    /// The default implementation performs no checks; leaf layers with
-    /// shape requirements override it. Composite layers inherit the
-    /// default and rely on their first leaf to reject bad input.
+    /// The default performs no checks. Leaf layers with shape
+    /// requirements override it; composites check their own input
+    /// ([`Composite::check_input`](crate::Composite::check_input)) and then
+    /// run every child through `try_forward`.
     ///
     /// # Errors
     ///
@@ -254,16 +261,30 @@ pub trait Layer {
         Ok(self.forward(tape, x, train))
     }
 
+    /// The direct children in dataflow order — empty for a leaf. The
+    /// default visitors below walk this list, so its order is the
+    /// parameter and calibration-site order of a checkpoint.
+    fn children_mut(&mut self) -> Vec<&mut dyn Node> {
+        Vec::new()
+    }
+
     /// Visits every parameter (for optimizers, serialization, counting).
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for c in self.children_mut() {
+            c.visit_params(f);
+        }
+    }
 
     /// Clears learned *statistics* (batch-norm running estimates,
     /// quantization range observers) without touching weights. Called
     /// before a post-training swap so the warm-up re-estimates every
-    /// moving average from scratch (paper Table 1 procedure). Layers
-    /// without statistics keep the default no-op; composite layers must
-    /// forward the call to children.
-    fn reset_statistics(&mut self) {}
+    /// moving average from scratch (paper Table 1 procedure). Leaves
+    /// without statistics see a no-op.
+    fn reset_statistics(&mut self) {
+        for c in self.children_mut() {
+            c.reset_statistics();
+        }
+    }
 
     /// Visits every named calibration site ([`QuantStateMut`]) of the
     /// layer — the serializable counterpart of [`Layer::reset_statistics`],
@@ -271,10 +292,13 @@ pub trait Layer {
     /// running moments) in the `quant` section of a
     /// [`FullCheckpoint`](crate::FullCheckpoint). Names follow the
     /// parameter convention: `<layer>.q.<site>` for observers,
-    /// `<layer>.bn` for batch-norm moments. Layers without statistics
-    /// keep the default no-op; composite layers must forward the call to
-    /// children.
-    fn visit_quant_state(&mut self, _f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {}
+    /// `<layer>.bn` for batch-norm moments. Leaves without statistics see
+    /// a no-op.
+    fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
+        for c in self.children_mut() {
+            c.visit_quant_state(f);
+        }
+    }
 
     /// Total trainable scalar count.
     fn param_count(&mut self) -> usize {

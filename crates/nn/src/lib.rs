@@ -11,6 +11,10 @@
 //! flowing through **every** stage, including the transform matrices
 //! `Aᵀ`, `G`, `Bᵀ` when they are trainable (`-flex`).
 //!
+//! Networks and blocks are [`Composite`]s: one ordered child list plus
+//! one dataflow function, from which the train forward, the read-only
+//! [`Infer`] path and the parameter/statistics visitors are all derived.
+//!
 //! Layers are constructed from typed specs built through fallible
 //! builders ([`Conv2dSpec`], [`LinearSpec`], [`BatchNormSpec`]): invalid
 //! configurations surface as [`WaError`] values instead of panics, and
@@ -53,6 +57,7 @@
 //! ```
 
 mod checkpoint;
+mod composite;
 pub mod container;
 mod error;
 pub mod executor;
@@ -68,6 +73,7 @@ pub use checkpoint::{
     export_params, export_quant_state, import_params, import_quant_state, Checkpoint,
     CheckpointError, FullCheckpoint, QuantSiteState,
 };
+pub use composite::{residual_trunk, BasicBody, ChildList, Composite, Flow, Node, Residual};
 pub use container::{
     is_container, read_checkpoint, write_checkpoint, Blob, BlobData, BlobDtype, Container,
 };
