@@ -73,7 +73,7 @@ fn bench_conv_algorithms() {
                 "conv",
                 &format!("F{m} {label}"),
                 time_ns(|| {
-                    let _ = winograd_conv2d_pretransformed(&x, &u, cout, cin, None, &t, 1);
+                    let _ = winograd_conv2d_pretransformed(&x, &u, None, &t, 1);
                 }),
             );
         }

@@ -4,10 +4,13 @@ use std::sync::{Arc, Mutex};
 
 use wa_nn::{
     infer_quant, infer_quant_taps, observe_quant, observe_quant_taps, Infer, Layer, Param,
-    QuantConfig, QuantStateMut, Tape, Var, WaError,
+    QuantConfig, QuantStateMut, TapFilter, Tape, Var, WaError,
 };
-use wa_quant::{quantize_i8_taps, BitWidth, Execution, Observer, Requantizer, TapPolicy, TapQuant};
-use wa_tensor::{gemm_i8_prepacked, PackedAI8, PackedBI8, SeededRng, Tensor};
+use wa_quant::{
+    quantize_i8_tap_major, quantize_i8_taps, BitWidth, Execution, Observer, Requantizer, TapPolicy,
+    TapQuant,
+};
+use wa_tensor::{gemm_i8_prepacked, PackedA, PackedAI8, PackedBI8, SeededRng, Tensor};
 use wa_winograd::{TileGeometry, WinogradTransform};
 
 use crate::int8_pipeline::{
@@ -109,15 +112,15 @@ impl WinogradObservers {
 }
 
 /// Prepacked integer Winograd-domain filter for the [`Execution::Int8`]
-/// path: the memoized `G·g·Gᵀ` rows re-quantized to `i8` (exact when the
-/// weight-side sites are calibrated — the cached values already sit on
-/// the quantization grid), permuted into `[n², K, C]` order and packed
-/// once into the [`gemm_i8_prepacked`] left-operand layout (widened
-/// i16), together with the per-tap scales they were quantized under (a
-/// per-layer site broadcasts its one scale). Packing at cache-build time
-/// keeps the per-inference GEMM free of operand widening — the filter is
-/// the large static side (`n²·K·C` elements, ~9.4M on a deep ResNet
-/// layer), so repacking it per call dominated the integer middle.
+/// path: the per-tap `[n², K, C]` `G·g·Gᵀ` blocks re-quantized to `i8`
+/// (exact when the weight-side sites are calibrated — the derived values
+/// already sit on the quantization grid) and packed once into the
+/// [`gemm_i8_prepacked`] left-operand layout (widened i16), together
+/// with the per-tap scales they were quantized under (a per-layer site
+/// broadcasts its one scale). Packing at cache-build time keeps the
+/// per-inference GEMM free of operand widening — the filter is the large
+/// static side (`n²·K·C` elements, ~9.4M on a deep ResNet layer), so
+/// repacking it per call dominated the integer middle.
 #[derive(Debug)]
 struct Int8Filter {
     /// Taps in `[n², K, C]` order, prepacked for the integer GEMM.
@@ -151,7 +154,6 @@ fn warm_scale(obs: &Observer, bits: BitWidth, x: &Tensor) -> f32 {
 }
 
 /// How the pipeline obtains the Winograd-domain filter `G·g·Gᵀ`.
-#[derive(Clone, Copy)]
 enum FilterVars {
     /// Spatial weights + `G` registered on this tape: quantize and
     /// transform inline (training, and any path that needs gradients or
@@ -162,10 +164,11 @@ enum FilterVars {
         /// Filter transform `G` `[n, r]`.
         g: Var,
     },
-    /// The already-quantized transform rows `[K·C, n²]`, computed once
-    /// and injected as a leaf — the weights are constant across a batch,
-    /// so inference reuses one derivation for every chunk.
-    Transformed(Var),
+    /// The already-quantized filter, derived once and prepacked in
+    /// per-tap `[n², K, C]` order — the weights are constant across a
+    /// batch, so inference reuses one derivation (and one buffer, shared
+    /// by handle) for every chunk.
+    Packed(Arc<PackedA<f32>>),
 }
 
 /// Tape variables for the layer's parameters, registered by the caller
@@ -251,7 +254,7 @@ fn winograd_pipeline(
     let xq = quant(tape, x, abits, QuantSite::Input);
     let wq = match vars.filter {
         FilterVars::Spatial { w, .. } => Some(quant(tape, w, wbits, QuantSite::Weight)),
-        FilterVars::Transformed(_) => None,
+        FilterVars::Packed(_) => None,
     };
     let (at, bt) = (vars.at, vars.bt);
 
@@ -273,28 +276,28 @@ fn winograd_pipeline(
         quant(tape, v_rows, abits, QuantSite::Bdb)
     };
 
-    // -- filter transform GgGᵀ (or the precomputed rows)
-    let u_rows = match (vars.filter, wq) {
-        (FilterVars::Spatial { g, .. }, Some(wq)) => filter_u_rows(tape, wq, g, cfg, quant),
-        (FilterVars::Transformed(u), _) => u,
+    // -- filter transform GgGᵀ (or the prepacked filter)
+    let filter = match (vars.filter, wq) {
+        (FilterVars::Spatial { g, .. }, Some(wq)) => {
+            TapFilter::Rows(filter_u_rows(tape, wq, g, cfg, quant))
+        }
+        (FilterVars::Packed(u), _) => TapFilter::Packed(u),
         (FilterVars::Spatial { .. }, None) => unreachable!("wq is Some iff filter is Spatial"),
     };
 
     // -- Hadamard product + summation across channels, as one GEMM per
-    //    Winograd-domain coordinate (Maji et al. 2019 formulation)
+    //    Winograd-domain coordinate (Maji et al. 2019 formulation), read
+    //    from and written to the transforms' taps-last rows
     let mm = {
         let _span = wa_obs::stage_span!("winograd.gemm");
-        let v_p = tape.permute3(v_rows, [total_tiles, in_ch, n * n], [2, 1, 0]); // [n², C, T]
-        let u_p = tape.permute3(u_rows, [out_ch, in_ch, n * n], [2, 0, 1]); // [n², K, C]
-        let mm = tape.bmm(u_p, v_p, n * n, out_ch, in_ch, total_tiles); // [n², K, T]
+        let mm = tape.tap_gemm(filter, v_rows, n * n, out_ch, in_ch); // [T, K, n²]
         quant(tape, mm, abits, QuantSite::Hadamard)
     };
 
     // -- output transform AᵀyA
     let _span = wa_obs::stage_span!("winograd.output_transform");
-    let m3 = tape.permute3(mm, [n * n, out_ch, total_tiles], [2, 1, 0]); // [T, K, n²]
     let orows = total_tiles * out_ch;
-    let m_rows = tape.reshape(m3, &[orows, n * n]);
+    let m_rows = tape.reshape(mm, &[orows, n * n]);
     let o1 = tape.reshape(m_rows, &[orows * n, n]);
     let o2 = tape.matmul_nt(o1, at); // Y·A
     let o2q = quant(tape, o2, abits, QuantSite::Ay);
@@ -369,24 +372,24 @@ pub struct WinogradAwareConv2d {
     r: usize,
     pad: usize,
     obs: WinogradObservers,
-    /// Memoized quantized Winograd-domain filter `G·g·Gᵀ` rows
-    /// (`[K·C, n²]`), tagged with the [`QuantConfig`] it was derived
-    /// under. The weights are constant across a batch, so the [`Infer`]
-    /// path derives this once and reuses it for every chunk of every
-    /// [`wa_nn::BatchExecutor`] run instead of re-transforming per chunk.
-    /// Tensor storage is copy-on-write, so handing the memoized value out
-    /// is a *shared handle* (an O(1) refcount bump): every worker tape
-    /// aliases one transform buffer rather than receiving a guarded copy.
-    /// Invalidated by every `&mut self` path that can change what the
-    /// derivation would produce (`forward`, `visit_params`,
-    /// `reset_statistics`) and by a `quant` change; code that mutates the
-    /// public parameter fields directly must call
-    /// [`WinogradAwareConv2d::invalidate_filter_cache`].
-    filter_cache: Mutex<Option<(QuantConfig, Tensor)>>,
+    /// Memoized quantized Winograd-domain filter `G·g·Gᵀ` for the f32
+    /// path, prepacked in per-tap `[n², K, C]` order (the left operand of
+    /// [`Tape::tap_gemm`]) and tagged with the [`QuantConfig`] it was
+    /// derived under. The weights are constant across a batch, so the
+    /// [`Infer`] path derives and packs this once and reuses it for every
+    /// chunk of every [`wa_nn::BatchExecutor`] run. It is handed out as
+    /// an `Arc` handle: every worker tape reads one buffer, and no call
+    /// copies it. Invalidated by every `&mut self` path that can change
+    /// what the derivation would produce (`forward`, `visit_params`,
+    /// `reset_statistics`, `tap_calibration_mut`) and by a `quant`
+    /// change; code that mutates the public parameter fields directly
+    /// must call [`WinogradAwareConv2d::invalidate_filter_cache`].
+    filter_cache: Mutex<Option<(QuantConfig, Arc<PackedA<f32>>)>>,
     /// Memoized [`Int8Filter`] for the [`Execution::Int8`] path, derived
-    /// from [`WinogradAwareConv2d::cached_filter`] and shared across
-    /// [`wa_nn::BatchExecutor`] workers as an `Arc` handle. Invalidated
-    /// together with `filter_cache`.
+    /// from the same per-tap filter and shared across
+    /// [`wa_nn::BatchExecutor`] workers as an `Arc` handle. An int8
+    /// layer holds only this, never the f32 filter. Invalidated together
+    /// with `filter_cache`.
     filter_cache_i8: Mutex<Option<(QuantConfig, Arc<Int8Filter>)>>,
 }
 
@@ -571,23 +574,11 @@ impl WinogradAwareConv2d {
             .expect("int8 filter cache lock poisoned") = None;
     }
 
-    /// The quantized `G·g·Gᵀ` rows for the current weights/quant config,
-    /// derived on a scratch tape the first time and memoized. Values are
-    /// bit-identical to the inline derivation: the same
-    /// [`filter_u_rows`] ops run on the same inputs through the same
-    /// read-only `Q` sites. The returned tensor is a shared handle onto
-    /// the cached buffer (copy-on-write storage), so concurrent callers
-    /// cost one refcount bump each, not a buffer copy.
-    fn cached_filter(&self) -> Tensor {
-        let mut guard = self
-            .filter_cache
-            .lock()
-            .expect("filter cache lock poisoned");
-        if let Some((q, t)) = &*guard {
-            if *q == self.quant {
-                return t.clone();
-            }
-        }
+    /// The quantized `G·g·Gᵀ` for the current weights/quant config,
+    /// prepacked in per-tap `[n², K, C]` order. Values are bit-identical
+    /// to the inline derivation: the same [`filter_u_rows`] ops run on the
+    /// same inputs through the same read-only `Q` sites.
+    fn derive_filter(&self) -> PackedA<f32> {
         let cfg = self.pipeline_cfg();
         let policy = self.quant.transform;
         let mut tape = Tape::new();
@@ -606,9 +597,26 @@ impl WinogradAwareConv2d {
                 _ => infer_quant(t, v, bits, self.obs.site(site)),
             },
         );
-        let value = tape.value(u).clone();
-        *guard = Some((self.quant, value.clone()));
-        value
+        let taps = self.input_tile() * self.input_tile();
+        PackedA::pack_taps_last(tape.value(u).data(), taps, cfg.out_ch, cfg.in_ch)
+    }
+
+    /// [`WinogradAwareConv2d::derive_filter`], derived the first time and
+    /// memoized. The returned handle shares the cached buffer, so
+    /// concurrent callers cost one refcount bump each, not a copy.
+    fn cached_filter(&self) -> Arc<PackedA<f32>> {
+        let mut guard = self
+            .filter_cache
+            .lock()
+            .expect("filter cache lock poisoned");
+        if let Some((q, u)) = &*guard {
+            if *q == self.quant {
+                return u.clone();
+            }
+        }
+        let u = Arc::new(self.derive_filter());
+        *guard = Some((self.quant, u.clone()));
+        u
     }
 
     /// Rejects tap bit-widths the `i8` kernel cannot carry (`FP32` or
@@ -635,10 +643,10 @@ impl WinogradAwareConv2d {
     }
 
     /// The prepacked integer filter for the current weights/quant config.
-    /// Re-quantizing [`WinogradAwareConv2d::cached_filter`] is exact on
-    /// calibrated state: the cached values already sit on the `G·g·Gᵀ`
+    /// Re-quantizing [`WinogradAwareConv2d::derive_filter`] is exact on
+    /// calibrated state: the derived values already sit on the `G·g·Gᵀ`
     /// site's grid, so `round(q·s/s) = q` recovers the integers
-    /// bit-for-bit. A never-calibrated site instead derives a one-off
+    /// bit-for-bit. The f32 filter is dropped once quantized. A never-calibrated site instead derives a one-off
     /// scale from the quantized rows themselves, which may drift
     /// sub-quantum from the fake-quant reference. Nothing rejects such a
     /// model: loading and serving an uncalibrated int8 checkpoint takes
@@ -655,37 +663,42 @@ impl WinogradAwareConv2d {
                 }
             }
         }
-        // derive outside the i8 lock: cached_filter takes its own lock
-        let u = self.cached_filter(); // [K·C, n²], values on the Ggt grid
-        let taps = self.input_tile() * self.input_tile();
+        let u = self.derive_filter(); // [n², K, C], values on the Ggt grid
+        let taps = u.batch();
         let wbits = self.quant.weights;
+        // What a cold site observes of the filter is its per-tap max |x|;
+        // one taps-last row of those maxima gives any observer the same
+        // range as the full filter would.
+        let tap_max = || {
+            let maxima = (0..taps)
+                .map(|t| u.item(t).iter().fold(0.0f32, |m, &v| m.max(v.abs())))
+                .collect();
+            Tensor::from_vec(maxima, &[1, taps])
+        };
         let (u_bits, u_scales) = match self.quant.transform {
             TapPolicy::PerTap => {
-                let tq = warm_taps(&self.obs.ggt_taps, &u);
+                let tq = if self.obs.ggt_taps.observations() > 0 {
+                    self.obs.ggt_taps.clone()
+                } else {
+                    warm_taps(&self.obs.ggt_taps, &tap_max())
+                };
                 let bits = tq.effective_bits(wbits);
                 let scales = tq.scales_for(&bits);
                 (bits, scales)
             }
             TapPolicy::PerLayer => {
-                let s = warm_scale(&self.obs.ggt, wbits, &u);
+                let s = if self.obs.ggt.observations() > 0 {
+                    self.obs.ggt.scale(wbits)
+                } else {
+                    warm_scale(&self.obs.ggt, wbits, &tap_max())
+                };
                 (vec![wbits; taps], vec![s; taps])
             }
         };
         self.check_tap_bits("G·g·Gᵀ", &u_bits)?;
-        let q_rows = quantize_i8_taps(&u, &u_bits, &u_scales);
-        // permute [K·C, n²] → [n², K, C], the reference's `u_p` layout
-        let (out_ch, in_ch) = (self.out_channels(), self.in_channels());
-        let mut data = vec![0i8; out_ch * in_ch * taps];
-        for k in 0..out_ch {
-            for c in 0..in_ch {
-                let src = &q_rows[(k * in_ch + c) * taps..][..taps];
-                for (t, &q) in src.iter().enumerate() {
-                    data[(t * out_ch + k) * in_ch + c] = q;
-                }
-            }
-        }
+        let q = quantize_i8_tap_major(u.values(), &u_bits, &u_scales);
         let f = Arc::new(Int8Filter {
-            packed: PackedAI8::pack(&data, taps, out_ch, in_ch),
+            packed: PackedAI8::pack(&q, taps, u.m(), u.k()),
             scales: u_scales,
         });
         let mut guard = self
@@ -820,27 +833,31 @@ impl WinogradAwareConv2d {
                 tmp.observe(&pre);
                 tmp.scale(abits)
             };
+            // requantize straight into the taps-last [T, K, n²] rows the
+            // output transform reads
             let qmax_h = abits.qmax();
-            let mut mm = Tensor::zeros(&[taps, out_ch, total_tiles]);
+            let mut mm = Tensor::zeros(&[total_tiles, out_ch, taps]);
             let md = mm.data_mut();
-            for (t, chunk) in md.chunks_mut(block).enumerate() {
+            for (t, chunk) in acc.chunks_exact(block).enumerate() {
                 let req =
                     Requantizer::new(filter.scales[t] as f64 * v_scales[t] as f64 / s_h as f64);
-                for (d, &a) in chunk.iter_mut().zip(&acc[t * block..]) {
-                    *d = req.apply_clamped(a, qmax_h) as f32 * s_h;
+                for (k, row) in chunk.chunks_exact(total_tiles).enumerate() {
+                    for (tile, &a) in row.iter().enumerate() {
+                        md[(tile * out_ch + k) * taps + t] =
+                            req.apply_clamped(a, qmax_h) as f32 * s_h;
+                    }
                 }
             }
             mm
         };
 
         // -- f32 back half: identical ops to the reference from the
-        //    post-Hadamard permute onwards
+        //    Hadamard product onwards
         let mm = tape.leaf(mm_t);
         let at = tape.param_ref(&self.at);
         let _span = wa_obs::stage_span!("winograd.output_transform");
-        let m3 = tape.permute3(mm, [taps, out_ch, total_tiles], [2, 1, 0]); // [T, K, n²]
         let orows = total_tiles * out_ch;
-        let m_rows = tape.reshape(m3, &[orows, taps]);
+        let m_rows = tape.reshape(mm, &[orows, taps]);
         let o1 = tape.reshape(m_rows, &[orows * n, n]);
         let o2 = tape.matmul_nt(o1, at);
         let o2q = infer_quant(tape, o2, abits, &self.obs.ay);
@@ -1100,9 +1117,8 @@ impl Infer for WinogradAwareConv2d {
             return self.infer_int8(tape, x);
         }
         let cfg = self.pipeline_cfg();
-        let u_rows = tape.leaf(self.cached_filter());
         let vars = PipelineVars {
-            filter: FilterVars::Transformed(u_rows),
+            filter: FilterVars::Packed(self.cached_filter()),
             at: tape.param_ref(&self.at),
             bt: tape.param_ref(&self.bt),
             bias: self.bias.as_ref().map(|b| tape.param_ref(b)),

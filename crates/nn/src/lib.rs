@@ -90,4 +90,4 @@ pub use spec::{
     BatchNormSpec, BatchNormSpecBuilder, Conv2dSpec, Conv2dSpecBuilder, LinearSpec,
     LinearSpecBuilder,
 };
-pub use tape::{BnRunning, Gradients, Tape, Var};
+pub use tape::{BnRunning, Gradients, TapFilter, Tape, Var};

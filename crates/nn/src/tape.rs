@@ -16,8 +16,12 @@
 // obscure the math.
 #![allow(clippy::needless_range_loop)]
 
+use std::sync::Arc;
+
 use wa_quant::{fake_quant_scale, fake_quant_taps, ste_mask, ste_mask_taps, BitWidth};
-use wa_tensor::{col2im, gemm, gemm_batched, im2row, pad_nchw, unpad_nchw, Tensor, Transpose};
+use wa_tensor::{
+    col2im, gemm, gemm_taps, im2row, pad_nchw, unpad_nchw, PackedA, Tensor, Transpose,
+};
 use wa_winograd::TileGeometry;
 
 use crate::param::Param;
@@ -50,13 +54,12 @@ enum Op {
     AddBiasChan(Var, Var),
     Matmul(Var, Var),
     MatmulNT(Var, Var),
-    Bmm {
-        a: Var,
-        b: Var,
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
+    TapGemm {
+        /// The filter rows, when they are on the tape.
+        u: Option<Var>,
+        /// The filter in per-tap `[n², K, C]` order.
+        a: Arc<PackedA<f32>>,
+        v: Var,
     },
     Reshape(Var),
     TileTranspose {
@@ -155,6 +158,19 @@ impl Gradients {
     pub fn tape_id(&self) -> u64 {
         self.tape_id
     }
+}
+
+/// The filter operand `U` of [`Tape::tap_gemm`].
+#[derive(Clone, Debug)]
+pub enum TapFilter {
+    /// Taps-last filter rows `[K·C, n²]` recorded on this tape: packed
+    /// into per-tap order on every call, and gradients flow back into
+    /// them (training).
+    Rows(Var),
+    /// A constant filter prepacked once in per-tap `[n², K, C]` order and
+    /// shared by handle: nothing is copied per call, and no gradient is
+    /// produced for it (inference).
+    Packed(Arc<PackedA<f32>>),
 }
 
 /// Running statistics handed to [`Tape::batch_norm`]: the per-channel
@@ -389,35 +405,52 @@ impl Tape {
         self.push(v, Op::MatmulNT(a, b), g)
     }
 
-    /// Batched matrix product of `a` `[batch, m, k]` and `b` `[batch, k, n]`
-    /// (flattened 3-D shapes) — the per-coordinate GEMM stage `M_uv = U_uv ·
-    /// V_uv` of the Winograd pipeline.
+    /// The Winograd per-tap GEMM stage `M_t = U_t · V_t` on its native
+    /// taps-last layouts: `v_rows` holds the transformed input as
+    /// `[T·C, n²]` rows (`n² = taps`, `C = in_ch`), and the result holds
+    /// the products as `[T, K, n²]` (`K = out_ch`) — the rows the output
+    /// transform reads.
+    /// One [`gemm_taps`] call; no operand is permuted.
+    ///
+    /// The filter is either on the tape ([`TapFilter::Rows`], training:
+    /// packed per call and differentiated) or a constant prepacked once
+    /// and shared by handle ([`TapFilter::Packed`], inference).
     ///
     /// # Panics
     ///
-    /// Panics if lengths disagree with the stated dimensions.
-    pub fn bmm(&mut self, a: Var, b: Var, batch: usize, m: usize, k: usize, n: usize) -> Var {
-        let av = self.value(a);
-        let bv = self.value(b);
-        assert_eq!(av.len(), batch * m * k, "bmm lhs length mismatch");
-        assert_eq!(bv.len(), batch * k * n, "bmm rhs length mismatch");
-        let mut out = Tensor::zeros(&[batch, m, n]);
-        // The n² per-coordinate products run as one packed batched GEMM,
-        // split across threads under the ambient gemm thread cap.
-        gemm_batched(av.data(), bv.data(), out.data_mut(), batch, m, k, n);
-        let g = self.ng(a) || self.ng(b);
-        self.push(
-            out,
-            Op::Bmm {
-                a,
-                b,
-                batch,
-                m,
-                k,
-                n,
-            },
-            g,
-        )
+    /// Panics if the operand lengths disagree with `taps`, `out_ch` and
+    /// `in_ch`.
+    pub fn tap_gemm(
+        &mut self,
+        filter: TapFilter,
+        v_rows: Var,
+        taps: usize,
+        out_ch: usize,
+        in_ch: usize,
+    ) -> Var {
+        let (u, a) = match filter {
+            TapFilter::Rows(u) => {
+                let a = PackedA::pack_taps_last(self.value(u).data(), taps, out_ch, in_ch);
+                (Some(u), Arc::new(a))
+            }
+            TapFilter::Packed(a) => (None, a),
+        };
+        assert_eq!(
+            (a.batch(), a.m(), a.k()),
+            (taps, out_ch, in_ch),
+            "tap_gemm filter is not [{taps}, {out_ch}, {in_ch}]"
+        );
+        let vv = self.value(v_rows);
+        let tiles = vv.len() / (taps * in_ch).max(1);
+        assert_eq!(
+            vv.len(),
+            tiles * taps * in_ch,
+            "tap_gemm input is not [T·{in_ch}, {taps}] rows"
+        );
+        let mut out = Tensor::zeros(&[tiles, out_ch, taps]);
+        gemm_taps(&a, vv.data(), out.data_mut());
+        let g = u.is_some_and(|u| self.ng(u)) || self.ng(v_rows);
+        self.push(out, Op::TapGemm { u, a, v: v_rows }, g)
     }
 
     // ---- shape ------------------------------------------------------------
@@ -1046,60 +1079,59 @@ impl Tape {
                     );
                 }
             }
-            Op::Bmm {
-                a,
-                b,
-                batch,
-                m,
-                k,
-                n,
-            } => {
-                let (batch, m, k, n) = (*batch, *m, *k, *n);
-                let gd = g.data();
-                if self.ng(*a) {
-                    // da[s] = g[s] · b[s]ᵀ
-                    let bd = self.value(*b).data();
-                    let mut da = Tensor::zeros(self.value(*a).shape());
-                    let dd = da.data_mut();
-                    for s in 0..batch {
-                        let gb = &gd[s * m * n..(s + 1) * m * n];
-                        let bb = &bd[s * k * n..(s + 1) * k * n];
-                        let ab = &mut dd[s * m * k..(s + 1) * m * k];
-                        for i in 0..m {
-                            for p in 0..k {
+            Op::TapGemm { u, a, v } => {
+                let (taps, k, c) = (a.batch(), a.m(), a.k());
+                let t = g.len() / (taps * k).max(1);
+                // Per tap s: da[s] = g[s]·v[s]ᵀ and dv[s] = a[s]ᵀ·g[s], in
+                // the per-tap [n², ·, T] order and the accumulation order
+                // of the former permute–bmm–permute chain, then back to
+                // the taps-last layouts of the operands.
+                let gt = permute3_tensor(g, [t, k, taps], [2, 1, 0]); // [n², K, T]
+                let gd = gt.data();
+                if let Some(u) = u.filter(|&u| self.ng(u)) {
+                    let vt = permute3_tensor(self.value(*v), [t, c, taps], [2, 1, 0]);
+                    let vd = vt.data();
+                    let mut da = vec![0.0f32; taps * k * c];
+                    for s in 0..taps {
+                        let gb = &gd[s * k * t..(s + 1) * k * t];
+                        let vb = &vd[s * c * t..(s + 1) * c * t];
+                        let ab = &mut da[s * k * c..(s + 1) * k * c];
+                        for i in 0..k {
+                            for p in 0..c {
                                 let mut acc = 0.0f32;
-                                for j in 0..n {
-                                    acc += gb[i * n + j] * bb[p * n + j];
+                                for j in 0..t {
+                                    acc += gb[i * t + j] * vb[p * t + j];
                                 }
-                                ab[i * k + p] += acc;
+                                ab[i * c + p] += acc;
                             }
                         }
                     }
-                    Self::accumulate(grads, *a, da);
+                    let da = Tensor::from_vec(da, &[taps, k, c]);
+                    let du = permute3_tensor(&da, [taps, k, c], [1, 2, 0]); // [K, C, n²]
+                    Self::accumulate(grads, u, du.reshape(self.value(u).shape()));
                 }
-                if self.ng(*b) {
-                    // db[s] = a[s]ᵀ · g[s]
-                    let ad = self.value(*a).data();
-                    let mut db = Tensor::zeros(self.value(*b).shape());
-                    let dd = db.data_mut();
-                    for s in 0..batch {
-                        let gb = &gd[s * m * n..(s + 1) * m * n];
-                        let ab = &ad[s * m * k..(s + 1) * m * k];
-                        let bb = &mut dd[s * k * n..(s + 1) * k * n];
-                        for i in 0..m {
-                            for p in 0..k {
-                                let aval = ab[i * k + p];
+                if self.ng(*v) {
+                    let mut dv = vec![0.0f32; taps * c * t];
+                    for s in 0..taps {
+                        let gb = &gd[s * k * t..(s + 1) * k * t];
+                        let ab = a.item(s);
+                        let vb = &mut dv[s * c * t..(s + 1) * c * t];
+                        for i in 0..k {
+                            for p in 0..c {
+                                let aval = ab[i * c + p];
                                 if aval != 0.0 {
-                                    let grow = &gb[i * n..(i + 1) * n];
-                                    let brow = &mut bb[p * n..(p + 1) * n];
-                                    for j in 0..n {
-                                        brow[j] += aval * grow[j];
+                                    let grow = &gb[i * t..(i + 1) * t];
+                                    let vrow = &mut vb[p * t..(p + 1) * t];
+                                    for j in 0..t {
+                                        vrow[j] += aval * grow[j];
                                     }
                                 }
                             }
                         }
                     }
-                    Self::accumulate(grads, *b, db);
+                    let dv = Tensor::from_vec(dv, &[taps, c, t]);
+                    let dv = permute3_tensor(&dv, [taps, c, t], [2, 1, 0]); // [T, C, n²]
+                    Self::accumulate(grads, *v, dv.reshape(self.value(*v).shape()));
                 }
             }
             Op::Reshape(x) => {

@@ -5,8 +5,10 @@
 //! certifies the vector-Jacobian products used by the Winograd-aware
 //! training pipeline.
 
-use wa_nn::{Tape, Var};
-use wa_tensor::{SeededRng, Tensor};
+use std::sync::Arc;
+
+use wa_nn::{TapFilter, Tape, Var};
+use wa_tensor::{PackedA, SeededRng, Tensor};
 use wa_winograd::TileGeometry;
 
 /// Central-difference gradient check of `f` (graph builder) at `inputs`.
@@ -118,18 +120,57 @@ fn matmul_nt_both_sides() {
 }
 
 #[test]
-fn bmm_both_sides() {
+fn tap_gemm_both_operands() {
+    // 4 taps, K = 3, C = 2, T = 5 tiles: taps-last filter rows
+    // [K·C, taps] and input rows [T·C, taps] both receive gradients
+    let (taps, k, c, tiles) = (4usize, 3usize, 2usize, 5usize);
     let mut r = rng();
-    let a = r.uniform_tensor(&[2, 3, 2], -1.0, 1.0); // batch 2, 3x2
-    let b = r.uniform_tensor(&[2, 2, 4], -1.0, 1.0); // batch 2, 2x4
+    let u = r.uniform_tensor(&[k * c, taps], -1.0, 1.0);
+    let v = r.uniform_tensor(&[tiles * c, taps], -1.0, 1.0);
     grad_check(
-        &[a, b],
-        |t, v| {
-            let c = t.bmm(v[0], v[1], 2, 3, 2, 4);
-            t.sq_sum(c)
+        &[u, v],
+        |t, vars| {
+            let m = t.tap_gemm(TapFilter::Rows(vars[0]), vars[1], taps, k, c);
+            t.sq_sum(m)
         },
         2e-2,
     );
+}
+
+#[test]
+fn tap_gemm_prepacked_filter_passes_input_gradients() {
+    // the inference form: a constant prepacked filter, gradients only
+    // into the input rows, equal to the filter-rows form's
+    let (taps, k, c, tiles) = (4usize, 3usize, 2usize, 5usize);
+    let mut r = rng();
+    let u = r.uniform_tensor(&[k * c, taps], -1.0, 1.0);
+    let packed = Arc::new(PackedA::pack_taps_last(u.data(), taps, k, c));
+    let v = r.uniform_tensor(&[tiles * c, taps], -1.0, 1.0);
+    grad_check(
+        std::slice::from_ref(&v),
+        |t, vars| {
+            let m = t.tap_gemm(TapFilter::Packed(packed.clone()), vars[0], taps, k, c);
+            t.sq_sum(m)
+        },
+        2e-2,
+    );
+
+    let grads_of = |filter: &dyn Fn(&mut Tape) -> TapFilter| {
+        let mut t = Tape::new();
+        let f = filter(&mut t);
+        let vv = t.leaf_grad(v.clone());
+        let m = t.tap_gemm(f, vv, taps, k, c);
+        let loss = t.sq_sum(m);
+        let value = t.value(m).clone();
+        (
+            value,
+            t.backward(loss).get(vv).expect("input gradient").clone(),
+        )
+    };
+    let (m_rows, dv_rows) = grads_of(&|t| TapFilter::Rows(t.leaf_grad(u.clone())));
+    let (m_packed, dv_packed) = grads_of(&|_| TapFilter::Packed(packed.clone()));
+    assert_eq!(m_rows.data(), m_packed.data());
+    assert_eq!(dv_rows.data(), dv_packed.data());
 }
 
 #[test]
@@ -398,15 +439,12 @@ fn winograd_aware_conv_full_gradient() {
             let w7 = t.reshape(w6, &[wrows, n * n]);
             let u_rows = t.tile_transpose(w7, n, n); // GgGᵀ rows
 
-            // ---- per-coordinate GEMM
-            let v_p = t.permute3(v_rows, [total_tiles, in_ch, n * n], [2, 1, 0]); // [n², C, T]
-            let u_p = t.permute3(u_rows, [out_ch, in_ch, n * n], [2, 0, 1]); // [n², K, C]
-            let mm = t.bmm(u_p, v_p, n * n, out_ch, in_ch, total_tiles); // [n², K, T]
+            // ---- per-coordinate GEMM on the taps-last rows
+            let mm = t.tap_gemm(TapFilter::Rows(u_rows), v_rows, n * n, out_ch, in_ch); // [T, K, n²]
 
             // ---- output transform: AᵀyA per (tile, k)
-            let m_rows3 = t.permute3(mm, [n * n, out_ch, total_tiles], [2, 1, 0]); // [T, K, n²]
             let orows = total_tiles * out_ch;
-            let m_rows = t.reshape(m_rows3, &[orows, n * n]);
+            let m_rows = t.reshape(mm, &[orows, n * n]);
             let o1 = t.reshape(m_rows, &[orows * n, n]);
             let o2 = t.matmul_nt(o1, at); // Y·A
             let o3 = t.reshape(o2, &[orows, n * m]);

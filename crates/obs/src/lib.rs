@@ -54,7 +54,8 @@ pub mod expo;
 
 pub use hist::{HistBucket, LogHistogram};
 pub use log::{
-    debug, error, info, log, log_enabled, set_max_level, trace as trace_log, warn, Level, LogValue,
+    debug, error, info, log, log_enabled, set_default_max_level, set_max_level, trace as trace_log,
+    warn, Level, LogValue,
 };
 pub use metrics::{
     counter, counter_with, gauge, gauge_with, global, histogram, histogram_with, Counter, Gauge,

@@ -81,6 +81,15 @@ pub fn set_max_level(level: Level) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
+/// Sets the threshold to `level` unless `WA_LOG` chose one — a quieter
+/// (or louder) default for a test suite or tool that an explicit
+/// `WA_LOG` still overrides.
+pub fn set_default_max_level(level: Level) {
+    if std::env::var_os("WA_LOG").is_none() {
+        set_max_level(level);
+    }
+}
+
 /// Whether a message at `level` would currently be emitted.
 pub fn log_enabled(level: Level) -> bool {
     level != Level::Off && (level as u8) <= max_level()

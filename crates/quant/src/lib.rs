@@ -50,7 +50,7 @@ mod tap;
 pub use bitwidth::{BitWidth, ParseBitWidthError};
 pub use execution::{Execution, ParseExecutionError};
 pub use observer::{Observer, ObserverMode};
-pub use qtensor::{quantize_i8, quantize_i8_taps, QTensor};
+pub use qtensor::{quantize_i8, quantize_i8_tap_major, quantize_i8_taps, QTensor};
 pub use quantize::{
     dequantize_i32, fake_quant, fake_quant_scale, fake_quant_taps, quantization_rmse, quantize_i32,
     round_clamp_i32, ste_mask, ste_mask_taps,

@@ -57,6 +57,43 @@ pub fn quantize_i8_taps(x: &Tensor, bits: &[BitWidth], scales: &[f32]) -> Vec<i8
     out
 }
 
+/// The tap-major twin of [`quantize_i8_taps`]: `x` holds `bits.len()`
+/// equal blocks, one per tap position (e.g. a Winograd filter prepacked
+/// as `[n², K, C]`), and block `t` is quantized with
+/// `(bits[t], scales[t])`. Same arithmetic, so the two layouts of one
+/// tensor quantize to the same integers.
+///
+/// # Panics
+///
+/// As [`quantize_i8_taps`].
+pub fn quantize_i8_tap_major(x: &[f32], bits: &[BitWidth], scales: &[f32]) -> Vec<i8> {
+    let taps = bits.len();
+    assert_eq!(taps, scales.len(), "bits/scales length mismatch");
+    assert!(taps > 0, "need at least one tap");
+    assert_eq!(
+        x.len() % taps,
+        0,
+        "tensor length {} is not a multiple of the tap count {}",
+        x.len(),
+        taps
+    );
+    let mut out = Vec::with_capacity(x.len());
+    for ((block, &b), &s) in x
+        .chunks_exact((x.len() / taps).max(1))
+        .zip(bits)
+        .zip(scales)
+    {
+        let qmax = check_i8_bits(b);
+        assert!(s > 0.0, "quantize_i8_tap_major requires positive scales");
+        out.extend(
+            block
+                .iter()
+                .map(|&v| crate::round_clamp_i32(v / s, qmax) as i8),
+        );
+    }
+    out
+}
+
 fn check_i8_bits(bits: BitWidth) -> i32 {
     assert!(
         !bits.is_float(),
@@ -237,6 +274,32 @@ mod tests {
         let dq = q.dequantize();
         for (a, b) in dq.data().iter().zip(fq.data()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn tap_major_matches_taps_last_per_element() {
+        let (rows, taps) = (3usize, 4usize);
+        let x = Tensor::from_vec(
+            (0..rows * taps).map(|i| i as f32 * 0.1 - 0.6).collect(),
+            &[rows, taps],
+        );
+        let bits = vec![
+            BitWidth::INT8,
+            BitWidth::Int(6),
+            BitWidth::INT8,
+            BitWidth::Int(4),
+        ];
+        let scales = vec![0.01, 0.02, 0.005, 0.04];
+        let last = quantize_i8_taps(&x, &bits, &scales);
+        let major: Vec<f32> = (0..taps * rows)
+            .map(|i| x.data()[(i % rows) * taps + i / rows])
+            .collect();
+        let q = quantize_i8_tap_major(&major, &bits, &scales);
+        for t in 0..taps {
+            for r in 0..rows {
+                assert_eq!(q[t * rows + r], last[r * taps + t], "tap {t} row {r}");
+            }
         }
     }
 

@@ -518,6 +518,8 @@ mod tests {
     use wa_tensor::SeededRng;
 
     fn lenet_doc() -> FullCheckpoint {
+        // the suites log at warn (real problems only) unless WA_LOG says otherwise
+        wa_obs::set_default_max_level(wa_obs::Level::Warn);
         let spec = ModelSpec::builder()
             .classes(10)
             .input_size(12)

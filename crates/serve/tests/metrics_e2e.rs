@@ -24,6 +24,8 @@ fn boot() -> (
     ServerHandle,
     std::thread::JoinHandle<()>,
 ) {
+    // the suites log at warn (real problems only) unless WA_LOG says otherwise
+    wa_obs::set_default_max_level(wa_obs::Level::Warn);
     let cfg = ServerConfig {
         scheduler: SchedulerConfig {
             max_batch: 8,

@@ -18,6 +18,8 @@ use wa_tensor::{Json, SeededRng, Tensor};
 /// Boots a server with the given resident-bytes budget on an ephemeral
 /// port.
 fn boot(max_model_bytes: Option<u64>) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
+    // the suites log at warn (real problems only) unless WA_LOG says otherwise
+    wa_obs::set_default_max_level(wa_obs::Level::Warn);
     let cfg = ServerConfig {
         max_model_bytes,
         scheduler: SchedulerConfig {

@@ -6,9 +6,14 @@
 //! * **Packing** — `B` is repacked once per call into `NR`-wide column
 //!   panels (zero-padded at the right edge) held in a reused thread-local
 //!   scratch buffer, so the inner kernel reads it as contiguous
-//!   `[kc × NR]` strips. `A` is *borrowed* in place when untransposed;
-//!   only `Transpose::Yes` operands are transpose-packed (also into
-//!   reused scratch). Neither operand is ever cloned wholesale.
+//!   `[kc × NR]` strips. The packer reads `B` through arbitrary row and
+//!   column strides, so a transposed operand or the taps-last Winograd
+//!   rows of [`gemm_taps`] are packed straight from where they live.
+//!   `A` is read in place with row stride `k`: an untransposed operand is
+//!   borrowed, a `Transpose::Yes` operand is transpose-packed into reused
+//!   scratch, and a constant operand is packed **once**, ahead of time,
+//!   into a [`PackedA`] — the same prepacked type the integer kernel
+//!   uses for its constant side. Neither operand is ever cloned per call.
 //! * **Blocking** — the `k` dimension is split into [`KC`]-deep panels
 //!   and rows into [`MC`]-tall blocks, so one `B` strip (`KC·NR` floats)
 //!   stays L1-resident while the `A` block streams from L2.
@@ -16,7 +21,9 @@
 //!   fixed-bound loops that LLVM auto-vectorizes. Full panels and
 //!   remainder rows run the *same* const-generic kernel, so every output
 //!   element — tail or not — comes from the identical accumulation
-//!   pattern.
+//!   pattern. The tile is stored through a row and column stride, so
+//!   [`gemm_taps`] writes its products straight into their taps-last
+//!   rows.
 //!
 //! Numerical contract: each output element is accumulated over `k` in
 //! strictly ascending order (the K-panel split reads the partial result
@@ -24,12 +31,14 @@
 //! naive f32 triple loop for **every** shape — the property the
 //! `gemm_regression` suite and the executor parity suites pin.
 //!
-//! Large products are split across threads by whole output rows with
-//! `std::thread::scope`; the split never changes results.
+//! Large products are split across threads by whole output rows (or, in
+//! [`gemm_taps`], whole tiles) with `std::thread::scope`; the split never
+//! changes results.
 
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
+use crate::packed::PackedA;
 use crate::tensor::Tensor;
 
 /// Bumps `wa_gemm_calls_total{kind=...}` through a per-kind cached
@@ -194,7 +203,11 @@ pub fn gemm_into(a: &Tensor, ta: Transpose, b: &Tensor, tb: Transpose, out: &mut
     // scratch buffers are thread-local and reused across calls.
     PACK_B.with(|bcell| {
         let mut bbuf = bcell.take();
-        pack_b_panels(b.data(), tb, k, n, &mut bbuf);
+        let (sp, sj) = match tb {
+            Transpose::No => (n, 1),  // stored [k, n]
+            Transpose::Yes => (1, k), // stored [n, k]
+        };
+        pack_b_panels(b.data(), sp, sj, k, n, &mut bbuf);
         match ta {
             Transpose::No => compute(a.data(), &bbuf, out_data, m, n, k),
             Transpose::Yes => PACK_A.with(|acell| {
@@ -212,10 +225,11 @@ pub fn gemm_into(a: &Tensor, ta: Transpose, b: &Tensor, tb: Transpose, out: &mut
 /// `out[s] = a[s] · b[s]` with `a[s]: [m, k]`, `b[s]: [k, n]`,
 /// `out[s]: [m, n]`, all stored contiguously.
 ///
-/// This is the substrate for the Winograd per-coordinate GEMM stage
-/// `M_uv = U_uv · V_uv`: `n²` independent small products that would
-/// each sit below the threading threshold alone but together dominate a
-/// chunk's runtime. The batch is split across threads (respecting
+/// A stack of independent small products that would each sit below the
+/// threading threshold alone, on contiguous operands both packed per
+/// call. (The Winograd per-coordinate stage `M_uv = U_uv · V_uv` runs
+/// through [`gemm_taps`] instead, on a prepacked filter and the
+/// transforms' taps-last rows.) The batch is split across threads (respecting
 /// [`with_gemm_thread_cap`]); every item runs the same packed
 /// micro-kernel as [`gemm`], so each output element is accumulated over
 /// `k` in ascending order — bit-identical to a naive triple loop, and
@@ -275,14 +289,113 @@ fn batch_range(a: &[f32], b: &[f32], out: &mut [f32], s0: usize, m: usize, k: us
         let mut bbuf = bcell.take();
         for (i, oitem) in out.chunks_mut(m * n).enumerate() {
             let s = s0 + i;
-            pack_b_panels(
-                &b[s * k * n..(s + 1) * k * n],
-                Transpose::No,
-                k,
+            pack_b_panels(&b[s * k * n..(s + 1) * k * n], n, 1, k, n, &mut bbuf);
+            kernel_rows::<false>(
+                &a[s * m * k..(s + 1) * m * k],
+                &bbuf,
+                oitem,
+                OutStride::rows(n),
+                m,
                 n,
-                &mut bbuf,
+                k,
             );
-            kernel_rows(&a[s * m * k..(s + 1) * m * k], &bbuf, oitem, m, n, k);
+        }
+        bcell.set(bbuf);
+    });
+}
+
+/// Floats of taps-last input and output rows that one tile block of
+/// [`gemm_taps`] keeps cache-resident across its tap loop (256 KiB, well
+/// inside L2 beside the streaming filter; larger blocks measured slower
+/// on the ResNet-18 shapes).
+const TAP_BLOCK_FLOATS: usize = 64 * 1024;
+
+/// The Winograd per-tap GEMM stage on its native layouts: for every tap
+/// `t` of `a` (`n²` taps of `[m, k]`, i.e. `U_t[K, C]`),
+/// `M_t[m, tiles] = U_t · V_t`, where `V_t` is read straight out of the
+/// taps-last rows `b_rows` (`[tiles·k, taps]`, element `(p, j)` of tap
+/// `t` at `b_rows[(j·k + p)·taps + t]` — the layout the input transform
+/// produces) and the products are written straight into the taps-last
+/// rows `out` (`[tiles·m, taps]`, element `(i, j)` of tap `t` at
+/// `out[(j·m + i)·taps + t]` — the layout the output transform reads).
+///
+/// Nothing is permuted or copied outside the kernel's own `B` packing
+/// pass: the filter is prepacked once into `a`, each tap's `B` panels are
+/// gathered from `b_rows` into this thread's reused scratch, and the
+/// register tiles store through the taps-last strides. Tiles are
+/// processed in blocks whose rows stay cache-resident across the tap
+/// loop, and split across threads by whole tiles (respecting
+/// [`with_gemm_thread_cap`]), so no two threads share an output row.
+/// Each output element is accumulated over `k` in ascending order —
+/// bit-identical to a naive f32 triple loop and to [`gemm_batched`] on
+/// explicitly permuted operands, independent of the thread split.
+///
+/// # Panics
+///
+/// Panics if `b_rows` is not a whole number of `k·taps` tile rows or if
+/// `out` is not `tiles·m·taps` long.
+pub fn gemm_taps(a: &PackedA<f32>, b_rows: &[f32], out: &mut [f32]) {
+    let (taps, m, k) = (a.batch, a.m, a.k);
+    let tile_in = k * taps;
+    let tiles = b_rows.len().checked_div(tile_in).unwrap_or(0);
+    assert_eq!(
+        b_rows.len(),
+        tiles * tile_in,
+        "gemm_taps rhs is not a whole number of [{k}, {taps}] tile rows"
+    );
+    assert_eq!(
+        out.len(),
+        tiles * m * taps,
+        "gemm_taps output length mismatch"
+    );
+    static CALLS: OnceLock<Arc<wa_obs::Counter>> = OnceLock::new();
+    count_gemm_call(&CALLS, "taps");
+    // k = 0 leaves no tile rows to count, so it lands here too
+    if taps == 0 || m == 0 || tiles == 0 {
+        return;
+    }
+
+    let threads = if taps * m * tiles * k >= PARALLEL_THRESHOLD {
+        gemm_threads().min(tiles.div_ceil(NR))
+    } else {
+        1
+    };
+    if threads > 1 {
+        // NR-aligned tile ranges so no B panel spans two workers
+        let per = tiles.div_ceil(threads).next_multiple_of(NR);
+        std::thread::scope(|s| {
+            for (bchunk, ochunk) in b_rows
+                .chunks(per * tile_in)
+                .zip(out.chunks_mut(per * m * taps))
+            {
+                s.spawn(move || taps_range(a, bchunk, ochunk));
+            }
+        });
+    } else {
+        taps_range(a, b_rows, out);
+    }
+}
+
+/// Computes [`gemm_taps`] for the tiles of `b_rows`/`out` on the calling
+/// thread, one cache-sized tile block at a time.
+fn taps_range(a: &PackedA<f32>, b_rows: &[f32], out: &mut [f32]) {
+    let (taps, m, k) = (a.batch, a.m, a.k);
+    let block = (TAP_BLOCK_FLOATS / ((k + m) * taps)).max(NR) / NR * NR;
+    PACK_B.with(|bcell| {
+        let mut bbuf = bcell.take();
+        for (bb, ob) in b_rows
+            .chunks(block * k * taps)
+            .zip(out.chunks_mut(block * m * taps))
+        {
+            let n = ob.len() / (m * taps);
+            let os = OutStride {
+                row: taps,
+                col: m * taps,
+            };
+            for t in 0..taps {
+                pack_b_panels(&bb[t..], taps, k * taps, k, n, &mut bbuf);
+                kernel_rows::<true>(a.item(t), &bbuf, &mut ob[t..], os, m, n, k);
+            }
         }
         bcell.set(bbuf);
     });
@@ -291,7 +404,10 @@ fn batch_range(a: &[f32], b: &[f32], out: &mut [f32], s0: usize, m: usize, k: us
 /// Repacks `B` into `⌈n/NR⌉` column panels, each a contiguous
 /// `[k × NR]` strip (`panel[p·NR + jj] = B[p, j0 + jj]`), zero-padding
 /// the right edge so the micro-kernel always reads full `NR` lanes.
-fn pack_b_panels(src: &[f32], tb: Transpose, k: usize, n: usize, buf: &mut Vec<f32>) {
+/// `B[p, j]` is read from `src[p·sp + j·sj]`: `(n, 1)` for a row-major
+/// `[k, n]` operand, `(1, k)` for a stored `[n, k]` transpose, and the
+/// tap and tile strides for the taps-last rows of [`gemm_taps`].
+fn pack_b_panels(src: &[f32], sp: usize, sj: usize, k: usize, n: usize, buf: &mut Vec<f32>) {
     let npanels = n.div_ceil(NR);
     let need = npanels * k * NR;
     if buf.len() < need {
@@ -301,32 +417,16 @@ fn pack_b_panels(src: &[f32], tb: Transpose, k: usize, n: usize, buf: &mut Vec<f
         let j0 = jp * NR;
         let nr = NR.min(n - j0);
         let panel = &mut buf[jp * k * NR..(jp + 1) * k * NR];
-        match tb {
-            Transpose::No => {
-                // stored [k, n]
-                for p in 0..k {
-                    let srow = &src[p * n + j0..p * n + j0 + nr];
-                    let drow = &mut panel[p * NR..(p + 1) * NR];
-                    drow[..nr].copy_from_slice(srow);
-                    for v in &mut drow[nr..] {
-                        *v = 0.0;
-                    }
+        for (p, drow) in panel.chunks_exact_mut(NR).enumerate() {
+            let s0 = p * sp + j0 * sj;
+            if sj == 1 {
+                drow[..nr].copy_from_slice(&src[s0..s0 + nr]);
+            } else {
+                for (jj, d) in drow[..nr].iter_mut().enumerate() {
+                    *d = src[s0 + jj * sj];
                 }
             }
-            Transpose::Yes => {
-                // stored [n, k]: panel columns are source rows
-                for jj in 0..nr {
-                    let scol = &src[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &v) in scol.iter().enumerate() {
-                        panel[p * NR + jj] = v;
-                    }
-                }
-                for jj in nr..NR {
-                    for p in 0..k {
-                        panel[p * NR + jj] = 0.0;
-                    }
-                }
-            }
+            drow[nr..].fill(0.0);
         }
     }
 }
@@ -372,17 +472,42 @@ fn compute(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, n: usize, k: usize)
                 let row0 = ti * rows_per;
                 s.spawn(move || {
                     let rows = chunk.len() / n;
-                    kernel_rows(&a[row0 * k..(row0 + rows) * k], bp, chunk, rows, n, k);
+                    kernel_rows::<false>(
+                        &a[row0 * k..(row0 + rows) * k],
+                        bp,
+                        chunk,
+                        OutStride::rows(n),
+                        rows,
+                        n,
+                        k,
+                    );
                 });
             }
         });
     } else {
-        kernel_rows(a, bp, out, m, n, k);
+        kernel_rows::<false>(a, bp, out, OutStride::rows(n), m, n, k);
+    }
+}
+
+/// Where the kernel stores output element `(i, j)`: at `i·row + j·col`
+/// from the start of its output slice. Kernels instantiated with
+/// `STRIDED = false` require `col == 1` and store whole row segments.
+#[derive(Clone, Copy)]
+struct OutStride {
+    row: usize,
+    col: usize,
+}
+
+impl OutStride {
+    /// Row-major `[rows, n]`.
+    fn rows(n: usize) -> OutStride {
+        OutStride { row: n, col: 1 }
     }
 }
 
 /// The blocked kernel: `out[rows, n] = a[rows, k] · B` with `B` packed
-/// into `NR` panels by [`pack_b_panels`].
+/// into `NR` panels by [`pack_b_panels`] and `out` addressed through
+/// `os` (`col == 1` unless `STRIDED`).
 ///
 /// Loop nest (GotoBLAS order): K-panels of depth [`KC`] outermost — the
 /// partial result is read back from `out` on later panels, preserving the
@@ -390,7 +515,16 @@ fn compute(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, n: usize, k: usize)
 /// then `B` panels (one `KC·NR` strip stays L1-hot across the whole row
 /// block), then `MR`-row register tiles with the remainder rows running
 /// the same const-generic micro-kernel.
-fn kernel_rows(a: &[f32], bp: &[f32], out: &mut [f32], rows: usize, n: usize, k: usize) {
+fn kernel_rows<const STRIDED: bool>(
+    a: &[f32],
+    bp: &[f32],
+    out: &mut [f32],
+    os: OutStride,
+    rows: usize,
+    n: usize,
+    k: usize,
+) {
+    debug_assert!(STRIDED || os.col == 1);
     let npanels = n.div_ceil(NR);
     let mut pc = 0;
     while pc < k {
@@ -403,54 +537,22 @@ fn kernel_rows(a: &[f32], bp: &[f32], out: &mut [f32], rows: usize, n: usize, k:
                 let j0 = jp * NR;
                 let nr = NR.min(n - j0);
                 let strip = &bp[jp * k * NR + pc * NR..jp * k * NR + (pc + kc) * NR];
+                let tile = |i: usize| (&a[i * k + pc..], i * os.row + j0 * os.col);
                 let mut ir = 0;
                 while ir + MR <= mc {
-                    let i = ic + ir;
-                    micro::<MR>(
-                        &a[i * k + pc..],
-                        k,
-                        strip,
-                        &mut out[i * n..],
-                        n,
-                        j0,
-                        nr,
-                        accumulate,
-                    );
+                    let (at, o) = tile(ic + ir);
+                    micro::<MR, STRIDED>(at, k, strip, &mut out[o..], os, nr, accumulate);
                     ir += MR;
                 }
-                let i = ic + ir;
-                match mc - ir {
-                    1 => micro::<1>(
-                        &a[i * k + pc..],
-                        k,
-                        strip,
-                        &mut out[i * n..],
-                        n,
-                        j0,
-                        nr,
-                        accumulate,
-                    ),
-                    2 => micro::<2>(
-                        &a[i * k + pc..],
-                        k,
-                        strip,
-                        &mut out[i * n..],
-                        n,
-                        j0,
-                        nr,
-                        accumulate,
-                    ),
-                    3 => micro::<3>(
-                        &a[i * k + pc..],
-                        k,
-                        strip,
-                        &mut out[i * n..],
-                        n,
-                        j0,
-                        nr,
-                        accumulate,
-                    ),
-                    _ => {}
+                let rem = mc - ir;
+                if rem > 0 {
+                    let (at, o) = tile(ic + ir);
+                    let o = &mut out[o..];
+                    match rem {
+                        1 => micro::<1, STRIDED>(at, k, strip, o, os, nr, accumulate),
+                        2 => micro::<2, STRIDED>(at, k, strip, o, os, nr, accumulate),
+                        _ => micro::<3, STRIDED>(at, k, strip, o, os, nr, accumulate),
+                    }
                 }
             }
             ic += mc;
@@ -463,31 +565,36 @@ fn kernel_rows(a: &[f32], bp: &[f32], out: &mut [f32], rows: usize, n: usize, k:
 ///
 /// `a` starts at the tile's first row and current K-panel (row stride
 /// `k`); `strip` is the packed `kc × NR` B strip; `out` starts at the
-/// tile's first row (row stride `n`), with `nr ≤ NR` live columns at
-/// `j0`. Padded B lanes contribute only to accumulator lanes that are
-/// never stored.
+/// tile's first element, with element `(r, jj)` at `r·os.row +
+/// jj·os.col` and `nr ≤ NR` live columns. Padded B lanes contribute only
+/// to accumulator lanes that are never stored.
 ///
 /// Every tile — interior or edge — runs this same code: the accumulator
 /// starts at zero (or the previous K-panel's partial result) and adds
 /// `a·b` products in ascending `k` order, so each output element is
-/// bit-identical to a naive f32 triple loop regardless of `R` or the
-/// panel split.
-#[allow(clippy::too_many_arguments)]
+/// bit-identical to a naive f32 triple loop regardless of `R`, the panel
+/// split or the output strides.
 #[inline(always)]
-fn micro<const R: usize>(
+fn micro<const R: usize, const STRIDED: bool>(
     a: &[f32],
     k: usize,
     strip: &[f32],
     out: &mut [f32],
-    n: usize,
-    j0: usize,
+    os: OutStride,
     nr: usize,
     accumulate: bool,
 ) {
     let mut acc = [[0.0f32; NR]; R];
     if accumulate {
         for (r, accr) in acc.iter_mut().enumerate() {
-            accr[..nr].copy_from_slice(&out[r * n + j0..r * n + j0 + nr]);
+            let o = r * os.row;
+            if !STRIDED {
+                accr[..nr].copy_from_slice(&out[o..o + nr]);
+            } else {
+                for (jj, v) in accr[..nr].iter_mut().enumerate() {
+                    *v = out[o + jj * os.col];
+                }
+            }
         }
     }
     for (p, brow) in strip.chunks_exact(NR).enumerate() {
@@ -499,7 +606,14 @@ fn micro<const R: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + nr].copy_from_slice(&accr[..nr]);
+        let o = r * os.row;
+        if !STRIDED {
+            out[o..o + nr].copy_from_slice(&accr[..nr]);
+        } else {
+            for (jj, &v) in accr[..nr].iter().enumerate() {
+                out[o + jj * os.col] = v;
+            }
+        }
     }
 }
 

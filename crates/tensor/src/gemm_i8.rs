@@ -22,6 +22,7 @@
 //! (`k = C·r²` or `k = C`).
 
 use crate::gemm::{gemm_threads, Transpose, PARALLEL_THRESHOLD};
+use crate::packed::PackedAI8;
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
@@ -218,67 +219,6 @@ fn batch_range(a: &[i8], b: &[i8], ochunk: &mut [i32], s0: usize, m: usize, k: u
     PACK_B_I16.with(|c| c.set(pb));
 }
 
-/// A prepacked batched **left** operand for [`gemm_i8_prepacked`]:
-/// `batch` stacked `[m, k]` i8 blocks widened once into the row-major
-/// `[m, kk]` i16 layout the kernel consumes (`kk` rounds `k` up to
-/// even for `pmaddwd` pairing).
-///
-/// [`gemm_i8_batched`] re-packs its operands on every call — the right
-/// choice when both sides change per call, pure overhead when one side
-/// is static. The Winograd integer middle multiplies the same memoized
-/// filter (up to `n²·K·C ≈ 9.4M` elements per deep ResNet layer) against
-/// fresh activations on every inference; packing it once at
-/// filter-cache build time removes that widening traffic from the hot
-/// path entirely.
-#[derive(Clone, Debug)]
-pub struct PackedAI8 {
-    data: Vec<i16>,
-    batch: usize,
-    m: usize,
-    k: usize,
-    kk: usize,
-}
-
-impl PackedAI8 {
-    /// Widens row-major `[batch, m, k]` i8 into the packed layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != batch·m·k`.
-    pub fn pack(a: &[i8], batch: usize, m: usize, k: usize) -> PackedAI8 {
-        assert_eq!(a.len(), batch * m * k, "PackedAI8 operand length mismatch");
-        let kk = k.next_multiple_of(2);
-        let mut data = vec![0i16; batch * m * kk];
-        for (src, dst) in a.chunks_exact(k).zip(data.chunks_exact_mut(kk)) {
-            for (d, &s) in dst[..k].iter_mut().zip(src) {
-                *d = s as i16;
-            }
-        }
-        PackedAI8 {
-            data,
-            batch,
-            m,
-            k,
-            kk,
-        }
-    }
-
-    /// Batch count.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Rows per batch item.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Inner (contraction) dimension.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
 /// A prepacked batched **right** operand for [`gemm_i8_prepacked`]:
 /// `batch` stacked `[k, n]` i8 blocks in the NR-wide pair-interleaved
 /// panel layout of the `pmaddwd` kernel.
@@ -420,7 +360,14 @@ impl PackedBI8 {
 
 /// [`gemm_i8_batched`] with **both operands prepacked**: runs the stack
 /// of `batch` products `out[s] = a[s]·b[s]` straight on the packed
-/// buffers — no packing, widening or scratch inside the call. Integer
+/// buffers — no packing, widening or scratch inside the call.
+///
+/// [`gemm_i8_batched`] re-packs its operands on every call — the right
+/// choice when both sides change per call, pure overhead when one side
+/// is static. The Winograd integer middle multiplies the same memoized
+/// filter (up to `n²·K·C ≈ 9.4M` elements per deep ResNet layer) against
+/// fresh activations on every inference; its [`PackedAI8`] is built once
+/// at filter-cache time, so no widening traffic reaches the hot path. Integer
 /// accumulation keeps every element bit-identical to [`gemm_i8`] run
 /// per item; large stacks split batch items across threads under the
 /// ambient [`with_gemm_thread_cap`](crate::with_gemm_thread_cap).
@@ -434,7 +381,7 @@ pub fn gemm_i8_prepacked(pa: &PackedAI8, pb: &PackedBI8, out: &mut [i32]) {
     count_gemm_i8_call(&CALLS, "prepacked");
     assert_eq!(pa.batch, pb.batch, "gemm_i8_prepacked batch mismatch");
     assert_eq!(pa.k, pb.k, "gemm_i8_prepacked contraction mismatch");
-    let (batch, m, n, kk) = (pa.batch, pa.m, pb.n, pa.kk);
+    let (batch, m, n, kk) = (pa.batch, pa.m, pb.n, pa.ld);
     assert_eq!(
         out.len(),
         batch * m * n,
@@ -452,7 +399,7 @@ pub fn gemm_i8_prepacked(pa: &PackedAI8, pb: &PackedBI8, out: &mut [i32]) {
         for (i, o) in ochunk.chunks_mut(m * n).enumerate() {
             let s = s0 + i;
             kernel_rows(
-                &pa.data[s * m * kk..(s + 1) * m * kk],
+                pa.item(s),
                 kk,
                 &pb.data[s * pb.panel_stride..(s + 1) * pb.panel_stride],
                 o,

@@ -26,12 +26,14 @@ mod conv;
 mod gemm;
 mod gemm_i8;
 pub mod json;
+mod packed;
 mod rng;
 mod tensor;
 
 pub use conv::{col2im, conv2d_direct, conv2d_direct_f64, im2row, pad_nchw, unpad_nchw, ConvShape};
-pub use gemm::{gemm, gemm_batched, gemm_into, with_gemm_thread_cap, Transpose};
-pub use gemm_i8::{gemm_i8, gemm_i8_batched, gemm_i8_prepacked, PackedAI8, PackedBI8};
+pub use gemm::{gemm, gemm_batched, gemm_into, gemm_taps, with_gemm_thread_cap, Transpose};
+pub use gemm_i8::{gemm_i8, gemm_i8_batched, gemm_i8_prepacked, PackedBI8};
 pub use json::{Json, JsonError};
+pub use packed::{PackedA, PackedAI8};
 pub use rng::SeededRng;
 pub use tensor::{cow_detach_bytes, Tensor};

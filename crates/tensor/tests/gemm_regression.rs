@@ -10,12 +10,17 @@
 //! * thread caps around `M` exercise the split boundaries (`M` not a
 //!   multiple of the worker count, `M` smaller than the worker count).
 //!
+//! The same holds for `gemm_taps`, the Winograd per-tap entry that reads
+//! a prepacked filter and taps-last input rows and stores taps-last
+//! output rows: it is pinned against a naive loop over the same layouts
+//! and against `gemm_batched` on explicitly permuted copies.
+//!
 //! The kernel accumulates each output element over `k` in strictly
 //! ascending order for **every** shape — the K-panel loop reads the
 //! partial result back instead of reassociating — so every comparison
 //! against the naive f32 triple loop demands *exact* equality.
 
-use wa_tensor::{gemm, SeededRng, Tensor, Transpose};
+use wa_tensor::{gemm, gemm_batched, gemm_taps, PackedA, SeededRng, Tensor, Transpose};
 
 fn rand_mat(r: usize, c: usize, seed: u64) -> Tensor {
     let mut rng = SeededRng::new(seed);
@@ -182,5 +187,119 @@ fn degenerate_single_row_and_column_shapes() {
         let got = gemm(&a, Transpose::No, &b, Transpose::No);
         let want = naive_f32(&a, &b);
         assert_eq!(got.data(), want.data(), "{m}x{k}x{n}");
+    }
+}
+
+/// Random taps-last operands for `gemm_taps`: filter rows `[m·k, taps]`
+/// and input rows `[n·k, taps]` (`n` tiles).
+fn taps_operands(taps: usize, m: usize, k: usize, n: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = SeededRng::new(seed);
+    let u = (0..m * k * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let v = (0..n * k * taps).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    (u, v)
+}
+
+/// Naive per-tap loop straight on the taps-last layouts:
+/// `out[(j·m + i)·taps + t] = Σ_p u[(i·k + p)·taps + t] · v[(j·k + p)·taps + t]`,
+/// accumulated in ascending `p`.
+fn naive_taps(u: &[f32], v: &[f32], taps: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m * taps];
+    for t in 0..taps {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += u[(i * k + p) * taps + t] * v[(j * k + p) * taps + t];
+                }
+                out[(j * m + i) * taps + t] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// The former pipeline: permute both operands to per-tap order, run
+/// `gemm_batched`, permute the products back to taps-last.
+fn permuted_batched(u: &[f32], v: &[f32], taps: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut up = vec![0.0f32; taps * m * k];
+    for ip in 0..m * k {
+        for t in 0..taps {
+            up[t * m * k + ip] = u[ip * taps + t];
+        }
+    }
+    let mut vp = vec![0.0f32; taps * k * n];
+    for j in 0..n {
+        for p in 0..k {
+            for t in 0..taps {
+                vp[(t * k + p) * n + j] = v[(j * k + p) * taps + t];
+            }
+        }
+    }
+    let mut mp = vec![0.0f32; taps * m * n];
+    gemm_batched(&up, &vp, &mut mp, taps, m, k, n);
+    let mut out = vec![0.0f32; n * m * taps];
+    for t in 0..taps {
+        for i in 0..m {
+            for j in 0..n {
+                out[(j * m + i) * taps + t] = mp[(t * m + i) * n + j];
+            }
+        }
+    }
+    out
+}
+
+fn run_taps(u: &[f32], v: &[f32], taps: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let a = PackedA::pack_taps_last(u, taps, m, k);
+    let mut out = vec![f32::NAN; n * m * taps];
+    gemm_taps(&a, v, &mut out);
+    out
+}
+
+#[test]
+fn tap_gemm_matches_naive_and_permuted_batched_on_ragged_shapes() {
+    // m off the MR=4 row tile, n off the NR=8 panel (including a single
+    // tile), k inside one K-panel and across KC=256 (300 = 256 + 44,
+    // 513 = 2·256 + 1)
+    let mut seed = 500;
+    for taps in [4usize, 16, 36] {
+        for (m, k, n) in [
+            (5usize, 7usize, 1usize),
+            (7, 3, 9),
+            (13, 11, 17),
+            (3, 300, 5),
+            (6, 513, 3),
+            (9, 300, 1),
+        ] {
+            seed += 1;
+            let (u, v) = taps_operands(taps, m, k, n, seed);
+            let got = run_taps(&u, &v, taps, m, k, n);
+            assert_eq!(
+                got,
+                naive_taps(&u, &v, taps, m, k, n),
+                "gemm_taps vs naive loop, taps {taps} m {m} k {k} n {n}"
+            );
+            assert_eq!(
+                got,
+                permuted_batched(&u, &v, taps, m, k, n),
+                "gemm_taps vs permuted gemm_batched, taps {taps} m {m} k {k} n {n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tap_gemm_thread_split_is_exact() {
+    // above the parallel threshold with a ragged tile count (45 tiles =
+    // 5 panels of 8 + 5), so a cap of 2 splits whole tile panels
+    let (taps, m, k, n) = (16usize, 13, 70, 45);
+    assert!(
+        taps * m * k * n >= 64 * 64 * 64,
+        "shape must trigger threading"
+    );
+    let (u, v) = taps_operands(taps, m, k, n, 77);
+    let want = naive_taps(&u, &v, taps, m, k, n);
+    for cap in [1usize, 2] {
+        let got = wa_tensor::with_gemm_thread_cap(cap, || run_taps(&u, &v, taps, m, k, n));
+        assert_eq!(got, want, "a GEMM thread cap of {cap} changed an element");
     }
 }

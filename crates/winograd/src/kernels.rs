@@ -4,15 +4,16 @@
 //! Maji et al. (2019) that the paper deploys on Arm CPUs: after
 //! transforming, the Hadamard-product-and-channel-sum stage becomes one
 //! independent GEMM per Winograd-domain coordinate `(u, v)`:
-//! `M_uv[K, T] = U_uv[K, C] · V_uv[C, T]`.
+//! `M_uv[K, T] = U_uv[K, C] · V_uv[C, T]`, run by [`wa_tensor::gemm_taps`]
+//! straight on the taps-last rows of the input and output transforms.
 
-use wa_tensor::{gemm_batched, Tensor};
+use wa_tensor::{gemm_taps, PackedA, Tensor};
 
 use crate::tiling::TileGeometry;
 use crate::transform::WinogradTransform;
 
 /// Transforms a weight tensor `[K, C, r, r]` to the Winograd domain,
-/// returning `U` laid out `[n², K·C]` (coordinate-major).
+/// returning `U` prepacked coordinate-major: `n²` blocks of `[K, C]`.
 ///
 /// This is the `GgGᵀ` stage whose cost is "often ignored as it is
 /// amortized across inferences" (paper §3.1); surgery and deployment
@@ -22,7 +23,7 @@ use crate::transform::WinogradTransform;
 ///
 /// Panics if `weight` is not `[K, C, r, r]` with `r` matching the
 /// transform.
-pub fn transform_weights(weight: &Tensor, t: &WinogradTransform) -> Tensor {
+pub fn transform_weights(weight: &Tensor, t: &WinogradTransform) -> PackedA<f32> {
     assert_eq!(weight.ndim(), 4, "weight must be [K, C, r, r]");
     let (k, c, r) = (weight.dim(0), weight.dim(1), weight.dim(2));
     assert_eq!(
@@ -33,16 +34,7 @@ pub fn transform_weights(weight: &Tensor, t: &WinogradTransform) -> Tensor {
     let n = t.input_tile();
     let flat = weight.reshape(&[k * c, r * r]);
     let u_rows = t.transform_filter_tiles(&flat); // [K·C, n²]
-                                                  // permute to [n², K·C]
-    let mut out = Tensor::zeros(&[n * n, k * c]);
-    let src = u_rows.data();
-    let dst = out.data_mut();
-    for kc in 0..k * c {
-        for uv in 0..n * n {
-            dst[uv * k * c + kc] = src[kc * n * n + uv];
-        }
-    }
-    out
+    PackedA::pack_taps_last(u_rows.data(), n * n, k, c)
 }
 
 /// Winograd convolution of an NCHW input (stride 1).
@@ -78,11 +70,11 @@ pub fn winograd_conv2d(
     pad: usize,
 ) -> Tensor {
     let u = transform_weights(weight, t);
-    winograd_conv2d_pretransformed(x, &u, weight.dim(0), weight.dim(1), bias, t, pad)
+    winograd_conv2d_pretransformed(x, &u, bias, t, pad)
 }
 
-/// Winograd convolution with pre-transformed weights `u` (layout
-/// `[n², K·C]`, from [`transform_weights`]).
+/// Winograd convolution with pre-transformed weights `u` (`n²` blocks of
+/// `[K, C]`, from [`transform_weights`]).
 ///
 /// Splitting the weight transform out mirrors deployment, where `GgGᵀ` is
 /// computed once — and exposes the 1.78×/4× run-time weight-memory
@@ -94,26 +86,21 @@ pub fn winograd_conv2d(
 /// Panics on layout mismatches.
 pub fn winograd_conv2d_pretransformed(
     x: &Tensor,
-    u: &Tensor,
-    out_ch: usize,
-    in_ch: usize,
+    u: &PackedA<f32>,
     bias: Option<&Tensor>,
     t: &WinogradTransform,
     pad: usize,
 ) -> Tensor {
     assert_eq!(x.ndim(), 4, "input must be NCHW");
     let (nb, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    let (out_ch, in_ch) = (u.m(), u.k());
     assert_eq!(
         c, in_ch,
         "input channels {} vs weight channels {}",
         c, in_ch
     );
     let n = t.input_tile();
-    assert_eq!(
-        u.shape(),
-        &[n * n, out_ch * in_ch],
-        "pretransformed weight layout mismatch"
-    );
+    assert_eq!(u.batch(), n * n, "pretransformed weight layout mismatch");
     if let Some(b) = bias {
         assert_eq!(b.shape(), &[out_ch], "bias must be [{}]", out_ch);
     }
@@ -127,42 +114,16 @@ pub fn winograd_conv2d_pretransformed(
     let tiles = geom.gather_tiles(&xp); // [N·T·C, n²]
     let v_rows = t.transform_input_tiles(&tiles); // [N·T·C, n²]
 
-    // 2. permute to V[uv][C, N·T]
+    // 2. per-coordinate GEMM: M_uv[K, T] = U_uv[K, C] · V_uv[C, T] for
+    //    all n² coordinates, read from and written to taps-last rows
     let nn = n * n;
-    let mut v = vec![0.0f32; nn * c * total_tiles];
-    {
-        let src = v_rows.data();
-        for tile in 0..total_tiles {
-            for ch in 0..c {
-                let row = (tile * c + ch) * nn;
-                for uv in 0..nn {
-                    v[(uv * c + ch) * total_tiles + tile] = src[row + uv];
-                }
-            }
-        }
-    }
-
-    // 3. per-coordinate GEMM: M_uv[K, T] = U_uv[K, C] · V_uv[C, T] —
-    //    one packed batched GEMM over all n² coordinates
-    let mut m = vec![0.0f32; nn * out_ch * total_tiles];
-    gemm_batched(u.data(), &v, &mut m, nn, out_ch, c, total_tiles);
-
-    // 4. inverse transform per (tile, k): rows [N·T·K, n²] -> [N·T·K, m²]
     let mut m_rows = Tensor::zeros(&[total_tiles * out_ch, nn]);
-    {
-        let dst = m_rows.data_mut();
-        for tile in 0..total_tiles {
-            for k in 0..out_ch {
-                let row = (tile * out_ch + k) * nn;
-                for uv in 0..nn {
-                    dst[row + uv] = m[(uv * out_ch + k) * total_tiles + tile];
-                }
-            }
-        }
-    }
+    gemm_taps(u, v_rows.data(), m_rows.data_mut());
+
+    // 3. inverse transform per (tile, k): rows [N·T·K, n²] -> [N·T·K, m²]
     let y_rows = t.transform_output_tiles(&m_rows); // [N·T·K, m²]
 
-    // 5. assemble + bias
+    // 4. assemble + bias
     let mut out = geom.assemble_output(&y_rows, nb, out_ch);
     if let Some(b) = bias {
         let (oh, ow) = (geom.out_h, geom.out_w);
@@ -253,10 +214,11 @@ mod tests {
         let t = WinogradTransform::canonical(2, 3);
         let u = transform_weights(&w, &t);
         // run-time weight footprint grows n²/r² = 16/9 ≈ 1.78x (paper §3.1)
-        assert_eq!(u.len(), 16 * 4 * 3);
-        assert_eq!(u.len() as f64 / w.len() as f64, 16.0 / 9.0);
+        let u_len = u.batch() * u.m() * u.k();
+        assert_eq!(u_len, 16 * 4 * 3);
+        assert_eq!(u_len as f64 / w.len() as f64, 16.0 / 9.0);
         let a = winograd_conv2d(&x, &w, None, &t, 1);
-        let b = winograd_conv2d_pretransformed(&x, &u, 4, 3, None, &t, 1);
+        let b = winograd_conv2d_pretransformed(&x, &u, None, &t, 1);
         assert_close(&a, &b, 1e-6);
     }
 

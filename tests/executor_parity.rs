@@ -223,6 +223,91 @@ fn filter_cache_reuse_is_bit_identical_across_runs_and_invalidation() {
         .try_forward_batch(&batch, cfg)
         .expect("cold-cache run");
     assert_eq!(first.data(), cold.data(), "cold vs warm cache diverged");
+
+    // The prepacked filter must go stale exactly when what it derives
+    // from changes. Under per-tap quantization both a weight edit through
+    // the visitor and an edit of the G·g·Gᵀ tap calibration reach the
+    // filter; after each, a warm model must equal a freshly built one
+    // carrying the same edit (which has never cached anything).
+    use winograd_aware::core::ConvLayer;
+    use winograd_aware::models::ConvNet;
+    let tap_spec = ModelSpec::builder()
+        .classes(10)
+        .input_size(12)
+        .algo(ConvAlgo::Winograd { m: 2 })
+        .quant(QuantConfig::per_tap(BitWidth::INT8))
+        .build()
+        .expect("static spec");
+    let rebuild = |from: &mut LeNet| {
+        let ckpt = winograd_aware::nn::export_params(from).expect("unique names");
+        let mut m = LeNet::from_spec(&tap_spec, &mut SeededRng::new(78)).expect("static spec");
+        winograd_aware::nn::import_params(&mut m, &ckpt).expect("import");
+        m
+    };
+    let coarsen_filter_taps = |m: &mut LeNet| {
+        for conv in m.conv_layers_mut() {
+            if let ConvLayer::Winograd(w) = conv {
+                let ggt = w.tap_calibration_mut().1;
+                let mut bits = vec![BitWidth::INT8; ggt.taps()];
+                let half = bits.len() / 2;
+                bits[..half].fill(BitWidth::Int(4));
+                ggt.set_bit_overrides(Some(bits)).expect("right length");
+            }
+        }
+    };
+    let mut net = LeNet::from_spec(&tap_spec, &mut SeededRng::new(9)).expect("static spec");
+    let before = net.try_forward_batch(&batch, cfg).expect("warming run");
+
+    Layer::visit_params(&mut net, &mut |p| {
+        if p.name.ends_with(".weight") {
+            p.value.map_in_place(|v| v * 0.5);
+        }
+    });
+    let edited = net.try_forward_batch(&batch, cfg).expect("post-edit run");
+    assert_ne!(
+        before.data(),
+        edited.data(),
+        "the weight edit must reach the output"
+    );
+    let fresh = rebuild(&mut net)
+        .try_forward_batch(&batch, cfg)
+        .expect("fresh run");
+    assert_eq!(
+        edited.data(),
+        fresh.data(),
+        "stale filter after a weight edit"
+    );
+
+    coarsen_filter_taps(&mut net);
+    let retapped = net
+        .try_forward_batch(&batch, cfg)
+        .expect("post-tap-edit run");
+    assert_ne!(
+        edited.data(),
+        retapped.data(),
+        "the tap edit must reach the output"
+    );
+    let mut fresh = rebuild(&mut net);
+    coarsen_filter_taps(&mut fresh);
+    let fresh = fresh.try_forward_batch(&batch, cfg).expect("fresh run");
+    assert_eq!(
+        retapped.data(),
+        fresh.data(),
+        "stale filter after a tap edit"
+    );
+
+    // two workers share the one prepacked filter: nothing is copied
+    let exec = BatchExecutor::new(ExecutorConfig {
+        threads: 2,
+        chunk: 2,
+    })
+    .expect("static config is valid");
+    let (shared, stats) = exec.run_with_stats(&net, &batch).expect("shared run");
+    assert_eq!(shared.data(), retapped.data());
+    assert_eq!(
+        stats.params_cloned_bytes, 0,
+        "workers must share the prepacked filter, not copy it"
+    );
 }
 
 #[test]

@@ -31,6 +31,8 @@ fn boot(scheduler: SchedulerConfig) -> (SocketAddr, ServerHandle, std::thread::J
 
 /// Boots a server with a full [`ServerConfig`] on an ephemeral port.
 fn boot_with(cfg: ServerConfig) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
+    // the suites log at warn (real problems only) unless WA_LOG says otherwise
+    winograd_aware::obs::set_default_max_level(winograd_aware::obs::Level::Warn);
     let server = Server::bind("127.0.0.1:0", cfg).expect("binding an ephemeral port");
     let addr = server.local_addr();
     let handle = server.handle();

@@ -30,6 +30,8 @@ fn boot_http(
     ServerHandle,
     std::thread::JoinHandle<()>,
 ) {
+    // the suites log at warn (real problems only) unless WA_LOG says otherwise
+    winograd_aware::obs::set_default_max_level(winograd_aware::obs::Level::Warn);
     let server =
         Server::bind_with_http("127.0.0.1:0", "127.0.0.1:0", cfg).expect("binding ephemeral ports");
     let addr = server.local_addr();

@@ -14,6 +14,8 @@ use winograd_aware::serve::{
 use winograd_aware::tensor::{Json, SeededRng, Tensor};
 
 fn boot(max_frame: usize) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
+    // the suites log at warn (real problems only) unless WA_LOG says otherwise
+    winograd_aware::obs::set_default_max_level(winograd_aware::obs::Level::Warn);
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
